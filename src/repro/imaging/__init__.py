@@ -1,8 +1,10 @@
-"""Image-processing substrate implemented from scratch on numpy.
+"""Image-processing substrate on numpy.
 
 Everything the paper's Section 2 pipeline needs — colour conversion,
 neighbour counting, morphology, connected components, hole filling,
 rasterisation, distance transforms, metrics, and simple file I/O.
+All of it is written from scratch except the connected-component
+labelling, which is ``scipy.ndimage.label``.
 """
 
 from .color import hsv_to_rgb, hue_distance, rgb_to_hsv
@@ -28,6 +30,8 @@ from .holes import fill_holes, fill_single_pixel_holes, hole_mask
 from .image import (
     blank_mask,
     blank_rgb,
+    channel_max,
+    channel_min,
     ensure_gray,
     ensure_mask,
     ensure_rgb,
@@ -106,6 +110,8 @@ __all__ = [
     "hole_mask",
     "blank_mask",
     "blank_rgb",
+    "channel_max",
+    "channel_min",
     "ensure_gray",
     "ensure_mask",
     "ensure_rgb",

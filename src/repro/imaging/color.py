@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .image import ensure_rgb
+from .image import channel_max, channel_min, ensure_rgb
 from ..errors import ImageError
 
 
@@ -30,8 +30,8 @@ def rgb_to_hsv(image: np.ndarray) -> np.ndarray:
     rgb = ensure_rgb(image)
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
 
-    v = rgb.max(axis=-1)
-    c_min = rgb.min(axis=-1)
+    v = channel_max(rgb)
+    c_min = channel_min(rgb)
     chroma = v - c_min
 
     hue = np.zeros_like(v)

@@ -1,9 +1,9 @@
-"""Connected-component labelling with union–find (from scratch).
+"""Connected-component labelling and component-based mask filters.
 
 Used by Step 3 of the paper's segmentation pipeline ("smaller spots can
 be removed from the scene"): after noise removal, connected foreground
 regions below an area threshold are discarded because a human object is
-necessarily large.
+necessarily large.  The labelling itself is ``scipy.ndimage.label``.
 """
 
 from __future__ import annotations
@@ -15,92 +15,34 @@ import numpy as np
 from .image import ensure_mask
 from ..types import BoundingBox, mask_bounding_box
 
-
-class _UnionFind:
-    """Disjoint-set forest with path compression and union by size."""
-
-    def __init__(self) -> None:
-        self._parent: list[int] = []
-        self._size: list[int] = []
-
-    def make_set(self) -> int:
-        index = len(self._parent)
-        self._parent.append(index)
-        self._size.append(1)
-        return index
-
-    def find(self, index: int) -> int:
-        root = index
-        parent = self._parent
-        while parent[root] != root:
-            root = parent[root]
-        # Path compression.
-        while parent[index] != root:
-            parent[index], index = root, parent[index]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        root_a, root_b = self.find(a), self.find(b)
-        if root_a == root_b:
-            return root_a
-        if self._size[root_a] < self._size[root_b]:
-            root_a, root_b = root_b, root_a
-        self._parent[root_b] = root_a
-        self._size[root_a] += self._size[root_b]
-        return root_a
+# Neighbourhood structuring elements of the two connectivities.
+_STRUCTURES = {
+    4: np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool),
+    8: np.ones((3, 3), dtype=bool),
+}
 
 
 def label_components(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, int]:
     """Label connected foreground regions.
 
-    Returns ``(labels, count)`` where ``labels`` is an int array with 0
-    for background and ``1..count`` for each component, numbered in
-    raster order of their first pixel.
+    Returns ``(labels, count)`` where ``labels`` is an int32 array with
+    0 for background and ``1..count`` for each component, numbered in
+    raster order of their first pixel.  The callers that rank regions
+    by area (:func:`largest_component`, :func:`top_n_components`, the
+    multi-actor ``components`` step) break equal-area ties by this
+    numbering.
     """
     mask = ensure_mask(mask)
-    if connectivity not in (4, 8):
+    if connectivity not in _STRUCTURES:
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
+    # Imported on first use so ``import repro`` stays lean: scipy.ndimage
+    # adds ~70 ms to start-up.
+    from scipy import ndimage
 
-    rows, cols = mask.shape
-    labels = np.zeros((rows, cols), dtype=np.int32)
-    uf = _UnionFind()
-    # Provisional labels start at 1; slot 0 of the forest is a dummy so
-    # provisional label L maps to forest index L - 1.
-    next_label = 1
-
-    if connectivity == 4:
-        prior = ((-1, 0), (0, -1))
-    else:
-        prior = ((-1, -1), (-1, 0), (-1, 1), (0, -1))
-
-    fg_rows, fg_cols = np.nonzero(mask)
-    for r, c in zip(fg_rows.tolist(), fg_cols.tolist()):
-        neighbor_labels = []
-        for dr, dc in prior:
-            rr, cc = r + dr, c + dc
-            if 0 <= rr < rows and 0 <= cc < cols and labels[rr, cc]:
-                neighbor_labels.append(labels[rr, cc])
-        if not neighbor_labels:
-            uf.make_set()
-            labels[r, c] = next_label
-            next_label += 1
-        else:
-            smallest = min(neighbor_labels)
-            labels[r, c] = smallest
-            for other in neighbor_labels:
-                if other != smallest:
-                    uf.union(smallest - 1, other - 1)
-
-    if next_label == 1:
-        return labels, 0
-
-    # Second pass: resolve provisional labels to compact final labels.
-    roots = np.array([uf.find(i) for i in range(next_label - 1)], dtype=np.int32)
-    unique_roots, compact = np.unique(roots, return_inverse=True)
-    remap = np.zeros(next_label, dtype=np.int32)
-    remap[1:] = compact + 1
-    labels = remap[labels]
-    return labels, len(unique_roots)
+    labels, count = ndimage.label(
+        mask, structure=_STRUCTURES[connectivity], output=np.int32
+    )
+    return labels, int(count)
 
 
 @dataclass(frozen=True, slots=True)

@@ -100,6 +100,22 @@ def to_uint8(image: np.ndarray) -> np.ndarray:
     return np.clip(np.round(arr * 255.0), 0, 255).astype(np.uint8)
 
 
+def channel_max(image: np.ndarray) -> np.ndarray:
+    """Per-pixel maximum over the last (channel) axis of ``(..., 3)``.
+
+    Equal to ``image.max(axis=-1)`` but an order of magnitude faster:
+    a reduction over a length-3 innermost axis runs one tiny strided
+    loop per pixel, while two elementwise ``np.maximum`` calls over the
+    channel planes stay vectorised.
+    """
+    return np.maximum(np.maximum(image[..., 0], image[..., 1]), image[..., 2])
+
+
+def channel_min(image: np.ndarray) -> np.ndarray:
+    """Per-pixel minimum over the channel axis (see :func:`channel_max`)."""
+    return np.minimum(np.minimum(image[..., 0], image[..., 1]), image[..., 2])
+
+
 def rgb_to_gray(image: np.ndarray) -> np.ndarray:
     """Collapse an RGB image to grayscale with BT.601 luma weights."""
     rgb = ensure_rgb(image)

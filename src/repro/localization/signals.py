@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..imaging.image import channel_max
 from ..segmentation.background import ChangeDetectionConfig
 from ..segmentation.online import RunningBackgroundModel
 from ..video.sequence import VideoSequence
@@ -39,7 +40,7 @@ def motion_energy(
     for index, frame in enumerate(video):
         frame = np.asarray(frame, dtype=np.float64)
         if prev is not None:
-            changed = np.abs(frame - prev).max(axis=-1) > pixel_threshold
+            changed = channel_max(np.abs(frame - prev)) > pixel_threshold
             energy[index] = float(changed.mean())
         prev = frame
     return energy
@@ -67,7 +68,7 @@ def centroid_track(
     background = model.freeze().background
     for index, frame in enumerate(video):
         frame = np.asarray(frame, dtype=np.float64)
-        mask = np.abs(frame - background).max(axis=-1) > pixel_threshold
+        mask = channel_max(np.abs(frame - background)) > pixel_threshold
         ys, xs = np.nonzero(mask)
         if xs.size:
             track[index, 0] = float(xs.mean())

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError, VideoError
+from ..imaging.image import channel_max
 from ..video.sequence import VideoSequence
 
 _AGGREGATIONS = ("longest_run", "mean", "median")
@@ -71,6 +72,62 @@ class ChangeDetectionConfig:
             )
 
 
+def _stable_pixels(
+    prev: np.ndarray, frame: np.ndarray, threshold: float
+) -> np.ndarray:
+    """Pixels whose max-channel change between two frames is small."""
+    return channel_max(np.abs(frame - prev)) < threshold
+
+
+class StablePairScan:
+    """Step 1's ``mean`` / ``longest_run`` aggregation as a recurrence.
+
+    Folds one consecutive frame pair at a time into per-pixel
+    accumulators, so the memory cost is a few frames whatever the
+    sequence length.  The batch estimator and
+    :class:`~repro.segmentation.online.RunningBackgroundModel` both
+    drive this scan, so the two aggregate identically.
+    """
+
+    def __init__(self, height: int, width: int, config: ChangeDetectionConfig) -> None:
+        self.config = config
+        self.support = np.zeros((height, width), dtype=np.int32)
+        if config.aggregation == "mean":
+            self._sum = np.zeros((height, width, 3), dtype=np.float64)
+        else:  # longest_run: the current run and the best run so far
+            self._cur_len = np.zeros((height, width), dtype=np.int32)
+            self._cur_sum = np.zeros((height, width, 3), dtype=np.float64)
+            self._best_len = np.zeros((height, width), dtype=np.int32)
+            self._best_sum = np.zeros((height, width, 3), dtype=np.float64)
+
+    def add(self, prev: np.ndarray, frame: np.ndarray) -> None:
+        """Fold the pair ``(prev, frame)`` into the accumulators."""
+        stable = _stable_pixels(prev, frame, self.config.threshold)
+        value = 0.5 * (prev + frame)
+        self.support += stable
+        if self.config.aggregation == "mean":
+            self._sum += np.where(stable[..., None], value, 0.0)
+            return
+        self._cur_len = np.where(stable, self._cur_len + 1, 0)
+        self._cur_sum = np.where(stable[..., None], self._cur_sum + value, 0.0)
+        # ">=" so a tie prefers the *later* run: after the jumper
+        # leaves, the empty background should win.
+        better = (self._cur_len >= self._best_len) & (self._cur_len > 0)
+        self._best_len = np.where(better, self._cur_len, self._best_len)
+        self._best_sum = np.where(better[..., None], self._cur_sum, self._best_sum)
+
+    def background(self) -> np.ndarray:
+        """The aggregated background; 0 where no pair was stable."""
+        if self.config.aggregation == "mean":
+            total, count = self._sum, self.support
+        else:
+            total, count = self._best_sum, self._best_len
+        background = np.zeros_like(total)
+        covered = self.support > 0
+        background[covered] = total[covered] / count[covered, None]
+        return background
+
+
 class ChangeDetectionBackgroundEstimator:
     """The paper's Step 1: accumulate temporally stable pixels."""
 
@@ -82,65 +139,37 @@ class ChangeDetectionBackgroundEstimator:
         if len(video) < 2:
             raise VideoError("change detection needs at least two frames")
         frames = video.frames
-        num_pairs = len(video) - 1
-        height, width = video.height, video.width
+        if self.config.aggregation == "median":
+            background, support = self._median(frames)
+        else:
+            scan = StablePairScan(video.height, video.width, self.config)
+            for k in range(len(video) - 1):
+                scan.add(frames[k], frames[k + 1])
+            background, support = scan.background(), scan.support
 
-        # Per-pair stability mask and observation (mean of the pair).
-        stable = np.empty((num_pairs, height, width), dtype=bool)
-        values = np.empty((num_pairs, height, width, 3), dtype=np.float64)
-        for k in range(num_pairs):
-            change = np.abs(frames[k + 1] - frames[k]).max(axis=-1)
-            stable[k] = change < self.config.threshold
-            values[k] = 0.5 * (frames[k] + frames[k + 1])
-
-        support = stable.sum(axis=0).astype(np.int32)
         fallback = support == 0
-
-        if self.config.aggregation == "mean":
-            total = (values * stable[..., None]).sum(axis=0)
-            background = np.zeros((height, width, 3), dtype=np.float64)
-            covered = ~fallback
-            background[covered] = total[covered] / support[covered, None]
-        elif self.config.aggregation == "median":
-            masked = np.where(stable[..., None], values, np.nan)
-            with np.errstate(all="ignore"):
-                background = np.nanmedian(masked, axis=0)
-            background = np.nan_to_num(background, nan=0.0)
-        else:  # longest_run
-            background = self._longest_run(stable, values)
-
         if fallback.any():
-            median = np.median(frames, axis=0)
-            background[fallback] = median[fallback]
+            background[fallback] = np.median(frames[:, fallback], axis=0)
         return BackgroundResult(
             background=np.clip(background, 0.0, 1.0),
             support=support,
             fallback_mask=fallback,
         )
 
-    @staticmethod
-    def _longest_run(stable: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Mean of the longest contiguous run of stable pairs, per pixel."""
-        num_pairs, height, width = stable.shape
-        cur_len = np.zeros((height, width), dtype=np.int32)
-        cur_sum = np.zeros((height, width, 3), dtype=np.float64)
-        best_len = np.zeros((height, width), dtype=np.int32)
-        best_sum = np.zeros((height, width, 3), dtype=np.float64)
-
+    def _median(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-pixel median of every stable observation, and the support."""
+        num_pairs = len(frames) - 1
+        height, width = frames.shape[1:3]
+        stable = np.empty((num_pairs, height, width), dtype=bool)
+        values = np.empty((num_pairs, height, width, 3), dtype=np.float64)
         for k in range(num_pairs):
-            s = stable[k]
-            cur_len = np.where(s, cur_len + 1, 0)
-            cur_sum = np.where(s[..., None], cur_sum + values[k], 0.0)
-            # ">=" so a tie prefers the *later* run: after the jumper
-            # leaves, the empty background should win.
-            better = (cur_len >= best_len) & (cur_len > 0)
-            best_len = np.where(better, cur_len, best_len)
-            best_sum = np.where(better[..., None], cur_sum, best_sum)
-
-        background = np.zeros((height, width, 3), dtype=np.float64)
-        covered = best_len > 0
-        background[covered] = best_sum[covered] / best_len[covered, None]
-        return background
+            stable[k] = _stable_pixels(frames[k], frames[k + 1], self.config.threshold)
+            values[k] = 0.5 * (frames[k] + frames[k + 1])
+        masked = np.where(stable[..., None], values, np.nan)
+        with np.errstate(all="ignore"):
+            background = np.nanmedian(masked, axis=0)
+        background = np.nan_to_num(background, nan=0.0)
+        return background, stable.sum(axis=0).astype(np.int32)
 
 
 class MedianBackgroundEstimator:

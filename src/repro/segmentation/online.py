@@ -15,13 +15,13 @@ steps (2–5) already consume.  Two implementations:
   the streaming refactor; fed only a warm-up prefix it is the
   "freeze after N frames" mode the streaming analyzer uses.
 * :class:`RunningBackgroundModel` — O(1)-memory incremental change
-  detection.  The ``mean`` and ``longest_run`` aggregations are exact
-  streaming reformulations of the batch algorithm (the longest-run scan
-  is already a per-pair recurrence); only the no-stable-pair fallback
-  differs — the batch estimator uses the temporal *median* frame, which
-  cannot be kept in O(1) memory, so this model substitutes the running
-  *mean* frame for those pixels.  The ``median`` aggregation is
-  rejected up front for the same reason.
+  detection.  The ``mean`` and ``longest_run`` aggregations run the
+  batch estimator's own per-pair recurrence
+  (:class:`~repro.segmentation.background.StablePairScan`); only the
+  no-stable-pair fallback differs — the batch estimator uses the
+  temporal *median* frame, which cannot be kept in O(1) memory, so this
+  model substitutes the running *mean* frame for those pixels.  The
+  ``median`` aggregation is rejected up front for the same reason.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import numpy as np
 from .background import (
     BackgroundResult,
     ChangeDetectionConfig,
+    StablePairScan,
 )
 from ..errors import ConfigurationError, StreamError, VideoError
 from ..video.sequence import VideoSequence
@@ -130,9 +131,9 @@ class WarmupBackgroundModel:
 class RunningBackgroundModel:
     """Incremental change detection with O(1) memory in stream length.
 
-    Keeps only the previous frame plus per-pixel accumulators (stable
-    support, stable sum, longest-run state, running frame sum), so an
-    unbounded stream can feed it.  See the module docstring for how it
+    Keeps only the previous frame, the per-pixel accumulators of a
+    :class:`~repro.segmentation.background.StablePairScan` and a running
+    frame sum, so an unbounded stream can feed it.  See the module docstring for how it
     relates to the batch estimator.
     """
 
@@ -153,12 +154,7 @@ class RunningBackgroundModel:
         self._prev: np.ndarray | None = None
         self._frozen: BackgroundResult | None = None
         # Allocated lazily at the first frame, once the shape is known.
-        self._support: np.ndarray | None = None
-        self._stable_sum: np.ndarray | None = None
-        self._cur_len: np.ndarray | None = None
-        self._cur_sum: np.ndarray | None = None
-        self._best_len: np.ndarray | None = None
-        self._best_sum: np.ndarray | None = None
+        self._scan: StablePairScan | None = None
         self._frame_sum: np.ndarray | None = None
 
     @property
@@ -175,31 +171,10 @@ class RunningBackgroundModel:
         frame = np.asarray(frame, dtype=np.float64)
         if self._prev is None:
             height, width = frame.shape[:2]
-            self._support = np.zeros((height, width), dtype=np.int32)
-            self._stable_sum = np.zeros((height, width, 3), dtype=np.float64)
-            self._cur_len = np.zeros((height, width), dtype=np.int32)
-            self._cur_sum = np.zeros((height, width, 3), dtype=np.float64)
-            self._best_len = np.zeros((height, width), dtype=np.int32)
-            self._best_sum = np.zeros((height, width, 3), dtype=np.float64)
+            self._scan = StablePairScan(height, width, self.config)
             self._frame_sum = np.zeros((height, width, 3), dtype=np.float64)
         else:
-            change = np.abs(frame - self._prev).max(axis=-1)
-            stable = change < self.config.threshold
-            value = 0.5 * (self._prev + frame)
-            self._support += stable
-            self._stable_sum += np.where(stable[..., None], value, 0.0)
-            # Longest-run recurrence, identical to the batch scan: ">="
-            # so a tie prefers the later run (the empty background after
-            # the jumper leaves should win).
-            self._cur_len = np.where(stable, self._cur_len + 1, 0)
-            self._cur_sum = np.where(
-                stable[..., None], self._cur_sum + value, 0.0
-            )
-            better = (self._cur_len >= self._best_len) & (self._cur_len > 0)
-            self._best_len = np.where(better, self._cur_len, self._best_len)
-            self._best_sum = np.where(
-                better[..., None], self._cur_sum, self._best_sum
-            )
+            self._scan.add(self._prev, frame)
         self._frame_sum += frame
         self._prev = frame
         self._frames_seen += 1
@@ -209,20 +184,9 @@ class RunningBackgroundModel:
             return self._frozen
         if self._frames_seen < 2:
             raise VideoError("change detection needs at least two frames")
-        support = self._support
+        support = self._scan.support
         fallback = support == 0
-        height, width = support.shape
-        background = np.zeros((height, width, 3), dtype=np.float64)
-        if self.config.aggregation == "mean":
-            covered = ~fallback
-            background[covered] = (
-                self._stable_sum[covered] / support[covered, None]
-            )
-        else:  # longest_run
-            covered = self._best_len > 0
-            background[covered] = (
-                self._best_sum[covered] / self._best_len[covered, None]
-            )
+        background = self._scan.background()
         if fallback.any():
             mean_frame = self._frame_sum / float(self._frames_seen)
             background[fallback] = mean_frame[fallback]

@@ -59,8 +59,11 @@ def shadow_mask(
             f"frame {frame.shape[:2]} and foreground {foreground.shape} differ"
         )
 
-    frame_hsv = rgb_to_hsv(frame)
-    back_hsv = rgb_to_hsv(background)
+    # Every test is per pixel and the result is restricted to the
+    # foreground anyway, so only foreground pixels are converted and
+    # tested: an (n, 1, 3) gather instead of two full-frame HSV images.
+    frame_hsv = rgb_to_hsv(frame[foreground][:, None])[:, 0]
+    back_hsv = rgb_to_hsv(background[foreground][:, None])[:, 0]
 
     back_v = back_hsv[..., 2]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -71,7 +74,9 @@ def shadow_mask(
     )
     hue_ok = hue_distance(frame_hsv[..., 0], back_hsv[..., 0]) <= config.tau_h
 
-    return foreground & value_ok & saturation_ok & hue_ok
+    detected = np.zeros_like(foreground)
+    detected[foreground] = value_ok & saturation_ok & hue_ok
+    return detected
 
 
 def remove_shadows(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..imaging.image import ensure_rgb, ensure_same_shape
+from ..imaging.image import channel_max, ensure_rgb, ensure_same_shape
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,7 +52,7 @@ def difference_image(frame: np.ndarray, background: np.ndarray) -> np.ndarray:
     frame = ensure_rgb(frame, "frame")
     background = ensure_rgb(background, "background")
     ensure_same_shape(frame, background, "frame and background")
-    return np.abs(frame - background).max(axis=-1)
+    return channel_max(np.abs(frame - background))
 
 
 def subtract_background(

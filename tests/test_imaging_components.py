@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.imaging.components import (
     component_stats,
@@ -180,3 +183,92 @@ class TestTopNComponents:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             top_n_components(np.zeros((5, 5), dtype=bool), 0)
+
+
+# ----------------------------------------------------------------------
+# The numbering contract: labels follow the raster order of each
+# region's first pixel.  Area-ranking callers break ties by it.
+# ----------------------------------------------------------------------
+_NEIGHBOURS = {
+    4: ((-1, 0), (1, 0), (0, -1), (0, 1)),
+    8: ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1)),
+}
+
+
+def _flood_fill_labels(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, int]:
+    """Reference labelling: flood-fill from each new pixel in raster order."""
+    rows, cols = mask.shape
+    labels = np.zeros(mask.shape, dtype=np.int64)
+    count = 0
+    for r in range(rows):
+        for c in range(cols):
+            if not mask[r, c] or labels[r, c]:
+                continue
+            count += 1
+            labels[r, c] = count
+            stack = [(r, c)]
+            while stack:
+                y, x = stack.pop()
+                for dy, dx in _NEIGHBOURS[connectivity]:
+                    yy, xx = y + dy, x + dx
+                    if (
+                        0 <= yy < rows
+                        and 0 <= xx < cols
+                        and mask[yy, xx]
+                        and not labels[yy, xx]
+                    ):
+                        labels[yy, xx] = count
+                        stack.append((yy, xx))
+    return labels, count
+
+
+class TestLabelNumberingContract:
+    def test_first_pixel_raster_order_regression(self):
+        # The region holding (0, 1) starts before the lone pixel (0, 4)
+        # in raster order, though its union-find root sorted after it.
+        mask = np.array(
+            [
+                [0, 1, 0, 0, 1],
+                [1, 1, 0, 0, 0],
+                [1, 0, 0, 0, 1],
+                [1, 0, 1, 1, 1],
+                [0, 1, 1, 0, 1],
+            ],
+            dtype=bool,
+        )
+        labels, count = label_components(mask)
+        assert count == 2
+        assert labels[0, 1] == 1
+        assert labels[0, 4] == 2
+
+    def test_labels_dtype(self):
+        labels, _ = label_components(np.ones((3, 3), dtype=bool))
+        assert labels.dtype == np.int32
+
+    def test_rejects_bad_connectivity(self):
+        with pytest.raises(ValueError):
+            label_components(np.zeros((3, 3), dtype=bool), connectivity=6)
+
+    @given(
+        # fill=nothing draws every pixel; the default fill makes most
+        # masks near-constant, which rarely form interleaved regions.
+        mask=arrays(
+            bool,
+            st.tuples(st.integers(1, 32), st.integers(1, 32)),
+            elements=st.booleans(),
+            fill=st.nothing(),
+        ),
+        connectivity=st.sampled_from([4, 8]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_flood_fill_in_raster_order(self, mask, connectivity):
+        labels, count = label_components(mask, connectivity=connectivity)
+        # Raster order: each label's first pixel comes after the
+        # previous label's first pixel.
+        firsts = [
+            int(np.flatnonzero(labels.ravel() == k)[0]) for k in range(1, count + 1)
+        ]
+        assert firsts == sorted(firsts)
+        reference, ref_count = _flood_fill_labels(mask, connectivity)
+        assert count == ref_count
+        assert np.array_equal(labels, reference)

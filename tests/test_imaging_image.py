@@ -7,6 +7,8 @@ from repro.errors import ImageError
 from repro.imaging.image import (
     blank_mask,
     blank_rgb,
+    channel_max,
+    channel_min,
     ensure_gray,
     ensure_mask,
     ensure_rgb,
@@ -117,3 +119,22 @@ class TestHelpers:
             blank_rgb(0, 5)
         with pytest.raises(ImageError):
             blank_mask(5, 0)
+
+
+class TestChannelReductions:
+    @pytest.mark.parametrize("shape", [(7, 9, 3), (4, 7, 9, 3), (0, 5, 3)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    def test_equal_axis_reductions(self, shape, dtype):
+        values = np.random.default_rng(5).random(shape) * 255
+        image = values.astype(dtype)
+        for got, want in (
+            (channel_max(image), image.max(axis=-1)),
+            (channel_min(image), image.min(axis=-1)),
+        ):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_strided_view(self):
+        image = np.random.default_rng(6).random((8, 10, 3))[::2, ::3]
+        assert np.array_equal(channel_max(image), image.max(axis=-1))
+        assert np.array_equal(channel_min(image), image.min(axis=-1))
