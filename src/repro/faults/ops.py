@@ -13,11 +13,9 @@ processes.
 
 The gate is stricter than survival alone: every scenario also asserts
 **zero leaked pool slots** — after the dust settles the worker pool
-must report no outstanding reclaimed slots and no in-flight work —
-and **zero leaked shared-memory segments**: whatever a scenario did to
-its workers, no ``slj-*`` segment may remain in ``/dev/shm`` when it
-ends.  ``slj chaos --ops`` wraps :func:`run_ops_chaos` and fails the
-build when the survival rate drops below ``--min-survival``.
+must report no outstanding reclaimed slots and no in-flight work.
+``slj chaos --ops`` wraps :func:`run_ops_chaos` and fails the build
+when the survival rate drops below ``--min-survival``.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -89,7 +87,6 @@ class OpsFaultOutcome:
     error_type: str = ""
     error: str = ""
     leaked_slots: int = 0
-    leaked_shm: int = 0
     elapsed_seconds: float = 0.0
 
     @property
@@ -97,7 +94,7 @@ class OpsFaultOutcome:
         """``ok`` / ``leaked`` / ``failed`` for display."""
         if not self.survived:
             return "failed"
-        return "leaked" if self.leaked_slots or self.leaked_shm else "ok"
+        return "leaked" if self.leaked_slots else "ok"
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready record of this outcome."""
@@ -109,7 +106,6 @@ class OpsFaultOutcome:
             "error_type": self.error_type,
             "error": self.error,
             "leaked_slots": self.leaked_slots,
-            "leaked_shm": self.leaked_shm,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
         }
 
@@ -131,19 +127,13 @@ class OpsChaosReport:
         """Fraction of scenarios that survived *without leaks*."""
         if not self.outcomes:
             return 1.0
-        good = sum(
-            1
-            for o in self.outcomes
-            if o.survived and not o.leaked_slots and not o.leaked_shm
-        )
+        good = sum(1 for o in self.outcomes if o.survived and not o.leaked_slots)
         return good / len(self.outcomes)
 
     def failures(self) -> tuple[OpsFaultOutcome, ...]:
-        """Scenarios that failed outright or leaked slots/segments."""
+        """Scenarios that failed outright or leaked slots."""
         return tuple(
-            o
-            for o in self.outcomes
-            if not o.survived or o.leaked_slots or o.leaked_shm
+            o for o in self.outcomes if not o.survived or o.leaked_slots
         )
 
     def render_table(self) -> str:
@@ -156,8 +146,6 @@ class OpsChaosReport:
             )
             if o.leaked_slots:
                 detail = f"{o.leaked_slots} leaked slot(s); {detail}"
-            if o.leaked_shm:
-                detail = f"{o.leaked_shm} leaked shm segment(s); {detail}"
             lines.append(f"{o.name:<30} {o.verdict:<10} {detail}")
         lines.append(
             f"survival {self.survival_rate:.0%} "
@@ -173,23 +161,6 @@ class OpsChaosReport:
             "num_faults": len(self.outcomes),
             "outcomes": [o.to_dict() for o in self.outcomes],
         }
-
-
-def _shm_segment_names() -> set[str]:
-    """This project's shared-memory segments currently in /dev/shm."""
-    import os
-
-    from ..perf import shm
-
-    if not os.path.isdir("/dev/shm"):  # non-Linux
-        return set()
-    try:
-        entries = os.listdir("/dev/shm")
-    except OSError:
-        return set()
-    return {
-        name for name in entries if name.startswith(shm.SEGMENT_PREFIX)
-    }
 
 
 def _wait_for(predicate: Callable[[], bool], timeout: float = 30.0) -> bool:
@@ -278,7 +249,6 @@ def run_ops_chaos(
     try:
         for name, scenario in scenarios:
             start = time.perf_counter()
-            segments_before = _shm_segment_names()
             try:
                 outcome = scenario(
                     video, annotation, config, seed, root / name
@@ -290,19 +260,11 @@ def run_ops_chaos(
                     survived=False,
                     error_type=type(exc).__name__,
                     error=str(exc),
-                    leaked_shm=len(_shm_segment_names() - segments_before),
                     elapsed_seconds=time.perf_counter() - start,
                 )
             else:
-                outcome = OpsFaultOutcome(
-                    name=outcome.name,
-                    survived=outcome.survived,
-                    detail=outcome.detail,
-                    error_type=outcome.error_type,
-                    error=outcome.error,
-                    leaked_slots=outcome.leaked_slots,
-                    leaked_shm=len(_shm_segment_names() - segments_before),
-                    elapsed_seconds=time.perf_counter() - start,
+                outcome = replace(
+                    outcome, elapsed_seconds=time.perf_counter() - start
                 )
             outcomes.append(outcome)
     finally:

@@ -26,13 +26,6 @@ from ..runtime import Instrumentation
 FitnessFn = Callable[[np.ndarray], np.ndarray]
 ValidityFn = Callable[[np.ndarray], np.ndarray]
 
-#: Draw ranking parents via a precomputed cdf + ``searchsorted`` instead
-#: of ``rng.choice(p=...)``, which rebuilds the cdf on every call.  The
-#: inline draw consumes the identical RNG stream and returns the
-#: identical index (asserted in tests/test_perf_parity.py).  Flipped off
-#: only by ``repro.perf.compat.legacy_hot_paths``.
-_INLINE_SELECTION = True
-
 
 @dataclass(frozen=True, slots=True)
 class GAConfig:
@@ -283,15 +276,13 @@ class GeneticAlgorithm:
             pa = int(rng.integers(0, weights.size, size).min())
             pb = int(rng.integers(0, weights.size, size).min())
             return pa, pb
-        if _INLINE_SELECTION:
-            # `Generator.choice(n, p=w)` normalises w into a cdf and
-            # searches it with one uniform draw; doing the same against
-            # the prebuilt cdf consumes the identical stream.
-            pa = int(cdf.searchsorted(rng.random(), side="right"))
-            pb = int(cdf.searchsorted(rng.random(), side="right"))
-            return pa, pb
-        pa = int(rng.choice(weights.size, p=weights))
-        pb = int(rng.choice(weights.size, p=weights))
+        # `Generator.choice(n, p=w)` normalises w into a cdf and searches
+        # it with one uniform draw; doing the same against the prebuilt
+        # cdf consumes the identical stream and returns the identical
+        # index (asserted in tests/test_perf_parity.py) without
+        # rebuilding the cdf on every call.
+        pa = int(cdf.searchsorted(rng.random(), side="right"))
+        pb = int(cdf.searchsorted(rng.random(), side="right"))
         return pa, pb
 
     def _make_child(

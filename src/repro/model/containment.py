@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import sample_segment_points, world_to_image
 from .pose import GENES, StickPose, forward_kinematics
 from .sticks import BodyDimensions
 from ..imaging.image import ensure_mask
@@ -63,13 +62,12 @@ class ContainmentChecker:
         self._dims = dims
         self._samples = samples_per_stick
         self._min_fraction = min_inside_fraction
-        # Cached sampling offsets and a flat region view: `check` runs
-        # once per offspring attempt, so per-call setup must be nil.
+        # Cached sampling offsets: `check` runs once per offspring
+        # attempt, so per-call setup must be nil.
         if samples_per_stick == 1:
             self._ts = np.array([0.5])
         else:
             self._ts = np.linspace(0.0, 1.0, samples_per_stick)
-        self._region_flat = np.ascontiguousarray(self._region).reshape(-1)
         # Coded lookup with a one-cell border: 0 = out of frame, 1 = in
         # frame but outside the region, 2 = inside the region.  Sample
         # coordinates clamp onto the border, so frame-bounds testing,
@@ -84,10 +82,6 @@ class ContainmentChecker:
         # silhouette, which bounds the cache's lifetime.
         self._verdicts: dict[bytes, bool] = {}
 
-    #: Class-level switch for the batched fast path.  Flipped off only
-    #: by ``repro.perf.compat.legacy_hot_paths`` (bench + parity tests).
-    vectorized = True
-
     def check(self, genes: np.ndarray) -> np.ndarray:
         """Boolean feasibility for each chromosome of a ``(P, 10)`` batch."""
         genes = np.asarray(genes, dtype=np.float64)
@@ -96,7 +90,7 @@ class ContainmentChecker:
             genes = genes[None, :]
         if genes.shape[1] != GENES:
             raise ValueError(f"expected (P, {GENES}) chromosomes, got {genes.shape}")
-        if self.vectorized and genes.shape[0] == 1:
+        if genes.shape[0] == 1:
             key = genes.tobytes()
             verdict = self._verdicts.get(key)
             if verdict is None:
@@ -106,22 +100,18 @@ class ContainmentChecker:
                     self._verdicts.clear()
                 self._verdicts[key] = verdict
             return verdict if squeeze else np.array([verdict])
-        segments = forward_kinematics(genes, self._dims)
-        if self.vectorized:
-            results = self._check_batch(segments)
-        else:
-            results = np.empty(genes.shape[0], dtype=bool)
-            for p in range(genes.shape[0]):
-                results[p] = self._contained(segments[p])
+        results = self._check_batch(forward_kinematics(genes, self._dims))
         return bool(results[0]) if squeeze else results
 
     def _check_batch(self, segments: np.ndarray) -> np.ndarray:
         """One numpy pass over all ``(P, 8, 2, 2)`` segment batches.
 
-        Produces exactly `_contained` applied per chromosome: the same
-        sample points (same arithmetic as ``sample_segment_points``),
-        the same rounding, the same all-in-frame gate and inside
-        fraction.  Parity is asserted in ``tests/test_perf_parity.py``.
+        Produces exactly the per-chromosome test: sample points along
+        every stick (same arithmetic as ``sample_segment_points``),
+        round them to pixels, reject any chromosome with a sample out
+        of frame, then compare the inside fraction with the threshold.
+        Parity with that loop is asserted in
+        ``tests/test_perf_parity.py``.
         """
         vals = self._sample_codes(segments)
         # Code 0 anywhere means a sample fell out of frame (the strict
@@ -177,19 +167,3 @@ class ContainmentChecker:
         vals = self._sample_codes(segments)
         fractions = (vals == 2).mean(axis=1)
         return float(fractions[0]) if squeeze else fractions
-
-    def _contained(self, segments: np.ndarray) -> bool:
-        points = sample_segment_points(segments, self._samples)
-        rc = world_to_image(points, self._height)
-        rows = np.rint(rc[:, 0]).astype(int)
-        cols = np.rint(rc[:, 1]).astype(int)
-        in_frame = (
-            (rows >= 0)
-            & (rows < self._height)
-            & (cols >= 0)
-            & (cols < self._width)
-        )
-        if not in_frame.all():
-            return False
-        inside = self._region[rows, cols]
-        return float(inside.mean()) >= self._min_fraction

@@ -155,7 +155,7 @@ class SilhouetteFitness:
         for start in range(0, population, chunk):
             block = segments[start : start + chunk]  # (C, 8, 2, 2)
             flat = block.reshape(-1, 2, 2)
-            dists = geometry._DISTANCE_IMPL(self._points, flat)
+            dists = geometry._segment_distances_fast(self._points, flat)
             dists = dists.reshape(num_points, block.shape[0], NUM_STICKS)
             normalised = dists / self._thickness[None, None, :]
             scores[start : start + block.shape[0]] = (

@@ -68,18 +68,18 @@ def points_to_segments_distance(points: np.ndarray, segments: np.ndarray) -> np.
         raise ValueError(
             f"segments must have shape (S, 2, 2), got {segments.shape}"
         )
-    return _DISTANCE_IMPL(points, segments)
+    return _segment_distances_fast(points, segments)
 
 
 def _segment_distances_fast(points: np.ndarray, segments: np.ndarray) -> np.ndarray:
-    """Coordinate-split form of the reference kernel.
+    """Point-to-segment distances, one (N, S) plane per coordinate.
 
-    Works on (N, S) planes per coordinate instead of stacked (N, S, 2)
-    blocks, which drops the einsum dispatches and halves the size of
-    every temporary.  Each output element goes through the *same*
-    floating-point operations in the same association order as
-    :func:`_segment_distances_reference`, so the results are bitwise
-    identical (asserted in ``tests/test_perf_parity.py``).  dtype
+    Working on coordinate planes instead of stacked (N, S, 2) blocks
+    drops the einsum dispatches and halves the size of every
+    temporary.  Each output element goes through the same
+    floating-point operations in the same association order as the
+    original einsum kernel, so the results are bitwise identical
+    (asserted against it in ``tests/test_perf_parity.py``).  dtype
     follows the inputs: float32 in, float32 out.
     """
     px = points[:, 0:1]  # (N, 1)
@@ -102,25 +102,6 @@ def _segment_distances_fast(points: np.ndarray, segments: np.ndarray) -> np.ndar
     ex = px - (sx + t * dx)
     ey = py - (sy + t * dy)
     return np.sqrt(ex * ex + ey * ey)
-
-
-def _segment_distances_reference(
-    points: np.ndarray, segments: np.ndarray
-) -> np.ndarray:
-    """The original einsum kernel, kept as the bitwise ground truth."""
-    starts = segments[:, 0, :]  # (S, 2)
-    deltas = segments[:, 1, :] - starts  # (S, 2)
-    length_sq = np.einsum("sd,sd->s", deltas, deltas)  # (S,)
-
-    # Vector from each start to each point: (N, S, 2)
-    rel = points[:, None, :] - starts[None, :, :]
-    dot = np.einsum("nsd,sd->ns", rel, deltas)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(length_sq > 0.0, dot / length_sq, 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    closest = starts[None, :, :] + t[..., None] * deltas[None, :, :]
-    diff = points[:, None, :] - closest
-    return np.sqrt(np.einsum("nsd,nsd->ns", diff, diff))
 
 
 def segment_distances_squared(
@@ -153,11 +134,6 @@ def segment_distances_squared(
     ex = px - (sx + t * dx)
     ey = py - (sy + t * dy)
     return ex * ex + ey * ey
-
-
-#: Active distance kernel.  ``repro.perf.compat.legacy_hot_paths`` swaps
-#: in the reference implementation for benchmarking and parity tests.
-_DISTANCE_IMPL = _segment_distances_fast
 
 
 def sample_segment_points(segments: np.ndarray, samples_per_segment: int) -> np.ndarray:

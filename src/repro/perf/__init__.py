@@ -9,9 +9,8 @@ a numeric result (``tests/test_perf_parity.py`` enforces this).
 Submodules
 ----------
 ``executors``
-    :class:`ParallelConfig` (``serial`` / ``threads`` / ``processes``)
-    and :func:`parallel_map`, the one executor abstraction shared by
-    frame segmentation, corpus evaluation, and the service batch path.
+    :class:`ParallelConfig` (``serial`` / ``threads``) and
+    :func:`parallel_map`, the per-frame fan-out of segmentation.
 ``cache``
     :class:`AnalyzerCache`, an LRU keyed by config hash so repeated
     service requests stop rebuilding :class:`~repro.pipeline.JumpAnalyzer`.
@@ -19,14 +18,6 @@ Submodules
     :class:`WorkerPool`, the counted bounded thread pool shared by the
     synchronous service path, the batch fan-out and the async job
     subsystem (:mod:`repro.jobs`).
-``shm``
-    :class:`SharedFrameArena` and :class:`FrameDescriptor`, the
-    zero-copy shared-memory frame plane the ``processes`` backend uses
-    to ship ~100-byte descriptors instead of pickled ndarrays.
-``compat``
-    Context manager restoring the pre-optimisation hot paths — used by
-    the bench harness to measure honest speedups and by the parity
-    tests to prove the optimised kernels are bitwise-identical.
 ``bench``
     The ``slj bench`` harness; writes the ``BENCH_*.json`` trajectory.
 
@@ -39,15 +30,11 @@ from __future__ import annotations
 from .cache import AnalyzerCache
 from .executors import BACKENDS, ParallelConfig, parallel_map
 from .pool import WorkerPool
-from .shm import FrameDescriptor, SharedFrameArena, shm_available
 
 __all__ = [
     "AnalyzerCache",
     "BACKENDS",
-    "FrameDescriptor",
     "ParallelConfig",
-    "SharedFrameArena",
     "WorkerPool",
     "parallel_map",
-    "shm_available",
 ]

@@ -5,24 +5,18 @@ reports a machine-readable JSON document (committed as
 ``BENCH_4.json``):
 
 * ``segmentation`` — frames/sec of the five-step pipeline per
-  execution backend (serial / threads / processes);
+  execution backend (serial / threads);
 * ``ga_single_frame`` — the Shoji-style single-frame GA with and
   without incremental elite-fitness reuse (evaluations/sec and the
   proof that both reach the identical best fitness);
 * ``tracking`` — per-frame temporal tracking throughput, read from the
   end-to-end run's stage trace;
-* ``end_to_end`` — a full :meth:`JumpAnalyzer.analyze` with the
-  legacy kernels + full GA re-evaluation (the pre-perf-layer
-  baseline) versus the optimised defaults, and their speedup;
+* ``end_to_end`` — a full :meth:`JumpAnalyzer.analyze` under the
+  configured defaults (the ``optimized`` entry the CI gate reads);
 * ``time_to_first_result`` — how long a live stream
   (:meth:`JumpAnalyzer.open_stream`, ``warmup_frames=4``) takes to
   produce its first tracked-frame update, against the batch
   end-to-end latency it replaces;
-* ``scale_out`` — the multi-process story: per-task payload bytes for
-  a pickled frame versus a shared-memory :class:`FrameDescriptor`,
-  per-backend dispatch overhead on a no-op task, and segmentation
-  throughput at several frame sizes for serial / threads / pickled
-  processes / shared-memory processes;
 * ``fitness_batch`` — the population-batched
   :meth:`SilhouetteFitness.evaluate` against a per-chromosome loop
   (evaluations/sec and the batch speedup), so the batching claim in
@@ -48,7 +42,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .compat import legacy_hot_paths
 from .executors import BACKENDS, ParallelConfig
 
 #: Bumped when the JSON schema changes shape.
@@ -75,21 +68,11 @@ def _with_parallel(config: Any, parallel: ParallelConfig) -> Any:
     return dataclasses.replace(config, parallel=parallel)
 
 
-def _with_incremental(config: Any, incremental: bool) -> Any:
-    tracker = config.tracker
-    ga = dataclasses.replace(tracker.ga, incremental=incremental)
-    return dataclasses.replace(
-        config, tracker=dataclasses.replace(tracker, ga=ga)
-    )
-
-
-def _bench_segmentation(
-    config: Any, video: Any, workers: int, backends: tuple[str, ...]
-) -> dict[str, Any]:
+def _bench_segmentation(config: Any, video: Any, workers: int) -> dict[str, Any]:
     from ..segmentation.pipeline import SegmentationPipeline
 
     results: dict[str, Any] = {}
-    for backend in backends:
+    for backend in BACKENDS:
         parallel = ParallelConfig(backend=backend, workers=workers)
         pipeline = SegmentationPipeline(config.segmentation, parallel=parallel)
         seconds, segmented = _timed(lambda: pipeline.segment_video(video))
@@ -243,169 +226,6 @@ def _bench_multi_actor(
     }
 
 
-def _noop_task(item: int) -> int:
-    """Module-level no-op so process pools can pickle it by reference."""
-    return item
-
-
-def _bench_scale_out(
-    config: Any, workers: int, seed: int, quick: bool
-) -> dict[str, Any]:
-    """Measure what multi-process scale-out actually costs and saves.
-
-    Three sub-measurements, each answering one question:
-
-    * ``payload`` — how many bytes cross the process boundary per task?
-      A pickled frame scales with the image; a shared-memory
-      :class:`~repro.perf.shm.FrameDescriptor` is a fixed ~100 bytes.
-    * ``dispatch`` — what does each backend charge per task before any
-      real work happens?  Timed with a no-op over a fixed task count,
-      pool startup included (that is the cost a caller actually pays).
-    * ``sizes`` — segmentation frames/sec per backend at two frame
-      geometries, because pickling costs grow with the frame while
-      descriptor shipping does not.
-    """
-    import pickle
-
-    from ..segmentation.pipeline import SegmentationPipeline
-    from ..video.synthesis.dataset import SyntheticJumpConfig, synthesize_jump
-    from ..video.synthesis.motion import JumpParameters
-    from ..video.synthesis.scene import SceneConfig
-    from .executors import available_cpus, parallel_map
-    from .shm import FrameDescriptor
-
-    # ``processes`` is the backend as configured — pool size capped at
-    # the host's schedulable CPUs, so on a single-CPU runner it runs
-    # in-process and matches serial instead of paying for a pool that
-    # cannot parallelise.  The ``processes_pickled`` / ``processes_shm``
-    # variants force a real cross-process pool (``oversubscribe``) so
-    # the true fan-out costs — and the shared-memory saving — stay
-    # measured even on such hosts.
-    section: dict[str, Any] = {
-        "workers": workers,
-        "available_cpus": available_cpus(),
-    }
-
-    # Per-backend dispatch overhead: a no-op task isolates the cost of
-    # shipping work to the backend (serialisation, queues, pool spinup).
-    tasks = 256
-    items = list(range(tasks))
-    dispatch: dict[str, Any] = {"tasks": tasks}
-    dispatch_backends = ("serial", "threads") if quick else BACKENDS
-    for backend in dispatch_backends:
-        # oversubscribe: this measures what a *real* pool charges per
-        # task, so don't let the CPU cap degenerate it in-process.
-        parallel = ParallelConfig(
-            backend=backend, workers=workers, oversubscribe=True
-        )
-        seconds = min(
-            _timed(lambda: parallel_map(_noop_task, items, parallel))[0]
-            for _ in range(1 if quick else 3)
-        )
-        dispatch[backend] = {
-            "seconds": round(seconds, 4),
-            "us_per_task": round(seconds / tasks * 1e6, 1),
-        }
-    section["dispatch"] = dispatch
-
-    variants: tuple[tuple[str, ParallelConfig], ...] = (
-        ("serial", ParallelConfig()),
-        ("threads", ParallelConfig(backend="threads", workers=workers)),
-    )
-    if not quick:
-        variants += (
-            (
-                "processes",
-                ParallelConfig(backend="processes", workers=workers),
-            ),
-            (
-                "processes_pickled",
-                ParallelConfig(
-                    backend="processes",
-                    workers=workers,
-                    shared_memory=False,
-                    oversubscribe=True,
-                ),
-            ),
-            (
-                "processes_shm",
-                ParallelConfig(
-                    backend="processes",
-                    workers=workers,
-                    shared_memory=True,
-                    oversubscribe=True,
-                ),
-            ),
-        )
-
-    geometries = ((120, 160),) if quick else ((120, 160), (180, 240))
-    frames = 16 if quick else 48
-    sizes: list[dict[str, Any]] = []
-    for height, width in geometries:
-        jump = synthesize_jump(
-            SyntheticJumpConfig(
-                seed=seed,
-                params=JumpParameters(num_frames=frames),
-                scene=SceneConfig(height=height, width=width),
-            )
-        )
-        frame = np.ascontiguousarray(jump.video.frames[0])
-        stack_shape = (len(jump.video),) + frame.shape
-        descriptor = FrameDescriptor(
-            name="slj-0-000000000000",
-            shape=stack_shape,
-            dtype=str(frame.dtype),
-            index=0,
-        )
-        pickled_frame_bytes = len(pickle.dumps(frame))
-        descriptor_bytes = len(pickle.dumps(descriptor))
-        entry: dict[str, Any] = {
-            "frames": len(jump.video),
-            "height": height,
-            "width": width,
-            "payload": {
-                "pickled_frame_bytes": pickled_frame_bytes,
-                "descriptor_bytes": descriptor_bytes,
-                "payload_reduction": round(
-                    pickled_frame_bytes / descriptor_bytes, 1
-                ),
-            },
-        }
-        # Best-of-N: shared runners are noisy, and min-of-repeats is
-        # the standard way (timeit) to estimate the undisturbed time.
-        repeats = 1 if quick else 3
-        for label, parallel in variants:
-            pipeline = SegmentationPipeline(
-                config.segmentation, parallel=parallel
-            )
-            seconds = float("inf")
-            for _ in range(repeats):
-                attempt, segmented = _timed(
-                    lambda: pipeline.segment_video(jump.video)
-                )
-                seconds = min(seconds, attempt)
-            entry[label] = {
-                "seconds": round(seconds, 4),
-                "frames_per_sec": round(len(segmented) / seconds, 2),
-            }
-        if "processes_shm" in entry:
-            entry["processes_vs_serial"] = round(
-                entry["serial"]["seconds"] / entry["processes"]["seconds"], 3
-            )
-            entry["shm_vs_serial"] = round(
-                entry["serial"]["seconds"] / entry["processes_shm"]["seconds"],
-                3,
-            )
-            entry["shm_vs_pickled"] = round(
-                entry["processes_pickled"]["seconds"]
-                / entry["processes_shm"]["seconds"],
-                3,
-            )
-        sizes.append(entry)
-    section["sizes"] = sizes
-    return section
-
-
 def _bench_fitness_batch(
     mask: np.ndarray, dims: Any, quick: bool, seed: int
 ) -> dict[str, Any]:
@@ -511,8 +331,8 @@ def run_bench(
     """Run every bench section and return the JSON-ready report.
 
     ``config`` defaults to the ``fast`` preset.  ``quick`` trims the
-    single-frame GA budget and skips the ``processes`` backend so the
-    bench finishes in well under a minute — the CI smoke mode.  Frame
+    single-frame GA, fitness and localisation budgets so the bench
+    finishes in well under a minute — the CI smoke mode.  Frame
     count is the caller's choice: a regression gate must measure at the
     baseline's frame count, because fixed per-run costs amortise
     differently across video lengths.
@@ -536,41 +356,15 @@ def run_bench(
         rng=np.random.default_rng(seed),
     )
 
-    backends = ("serial", "threads") if quick else BACKENDS
     sections: dict[str, Any] = {}
-    sections["segmentation"] = _bench_segmentation(
-        config, jump.video, workers, backends
-    )
+    sections["segmentation"] = _bench_segmentation(config, jump.video, workers)
     sections["ga_single_frame"] = _bench_ga_single_frame(
         jump.person_masks[0], jump.dims, quick, seed
     )
     sections["fitness_batch"] = _bench_fitness_batch(
         jump.person_masks[0], jump.dims, quick, seed
     )
-    sections["scale_out"] = _bench_scale_out(config, workers, seed, quick)
     sections["localization"] = _bench_localization(seed, quick)
-
-    # Baseline: the pre-perf-layer code paths — reference distance
-    # kernel, per-stick containment loop, full GA re-evaluation every
-    # generation, the old fixed evaluation chunk of 64, serial frame
-    # loop.
-    baseline_config = _with_incremental(
-        _with_parallel(config, ParallelConfig()), incremental=False
-    )
-    baseline_tracker = baseline_config.tracker
-    baseline_config = dataclasses.replace(
-        baseline_config,
-        tracker=dataclasses.replace(
-            baseline_tracker,
-            fitness=dataclasses.replace(
-                baseline_tracker.fitness, chunk_size=64
-            ),
-        ),
-    )
-    with legacy_hot_paths():
-        baseline_seconds, _ = _analyze_once(
-            baseline_config, jump, annotation, seed
-        )
 
     # Optimised: the defaults, with the requested worker count.
     optimized_config = _with_parallel(
@@ -593,15 +387,10 @@ def run_bench(
         "fitness_evaluations": analysis.trace.counters.get("ga.evaluations"),
     }
     sections["end_to_end"] = {
-        "baseline": {
-            "seconds": round(baseline_seconds, 4),
-            "frames_per_sec": round(frames / baseline_seconds, 3),
-        },
         "optimized": {
             "seconds": round(optimized_seconds, 4),
             "frames_per_sec": round(frames / optimized_seconds, 3),
         },
-        "speedup": round(baseline_seconds / optimized_seconds, 3),
     }
     sections["time_to_first_result"] = _bench_time_to_first_result(
         optimized_config, jump, annotation, seed, optimized_seconds

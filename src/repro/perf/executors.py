@@ -1,32 +1,26 @@
 """Execution backends for embarrassingly parallel per-frame work.
 
-One abstraction — :func:`parallel_map` — serves every fan-out site in
-the pipeline: frame segmentation, corpus evaluation, and the service
-batch endpoint.  The contract is strict so callers never need
-backend-specific code:
+:func:`parallel_map` is the fan-out behind frame segmentation (Steps
+2–5 run on each frame independently).  The contract is strict so
+callers never need backend-specific code:
 
 * results come back in input order;
 * an exception in any worker propagates to the caller;
 * the ``serial`` backend (and any degenerate pool) runs everything
   in-process, byte-for-byte equivalent to a plain list comprehension.
-
-The ``processes`` backend requires ``fn`` (and ``initializer``) to be
-module-level picklable callables; per-worker state should be installed
-through ``initializer`` so large constants (a background model, a
-config) are shipped once per worker instead of once per item.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from ..errors import ConfigurationError
 
 #: Recognised values of :attr:`ParallelConfig.backend`.
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "threads")
 
 
 def available_cpus() -> int:
@@ -45,32 +39,19 @@ def available_cpus() -> int:
 
 @dataclass(frozen=True, slots=True)
 class ParallelConfig:
-    """How per-frame / per-video fan-out executes.
+    """How per-frame fan-out executes.
 
-    This is an *execution* knob, not a model knob: every backend
-    produces numerically identical results (``tests/test_perf_parity.py``
+    This is an *execution* knob, not a model knob: both backends
+    produce numerically identical results (``tests/test_perf_parity.py``
     proves byte-identical analysis serialisations), so it is excluded
     from :func:`~repro.config.config_hash`.
 
-    ``threads`` suits the numpy-dominated kernels here (they release
-    the GIL); ``processes`` buys true parallelism for Python-heavy
-    steps.  With ``shared_memory`` enabled (the default), fan-out
-    sites that support it place frames in a
-    :class:`~repro.perf.shm.SharedFrameArena` and ship ~100-byte
-    descriptors to workers instead of pickled ndarrays; disabling it
-    forces the legacy pickled-copy path.
+    ``threads`` suits the numpy-dominated kernels here: they release
+    the GIL, so frames segment concurrently in one process.
     """
 
     backend: str = "serial"
     workers: int = 4
-    shared_memory: bool = True
-    # Allow more workers than schedulable CPUs.  Off by default: on a
-    # CPU-bound fan-out, oversubscription is pure context-switch
-    # overhead, and on a single-CPU host it makes every pool backend
-    # strictly slower than the serial loop.  Benchmarks (and tests that
-    # must exercise a real cross-process path regardless of the host)
-    # turn it on explicitly.
-    oversubscribe: bool = False
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -83,14 +64,12 @@ class ParallelConfig:
     def pool_size(self, num_items: int) -> int:
         """Workers actually worth starting for ``num_items`` tasks.
 
-        Capped at :func:`available_cpus` unless ``oversubscribe`` is
-        set; when this returns 1, :func:`parallel_map` skips the pool
+        Capped at :func:`available_cpus`: on a CPU-bound fan-out, more
+        workers than schedulable CPUs is pure context-switch overhead.
+        When this returns 1, :func:`parallel_map` skips the pool
         entirely and runs in-process.
         """
-        cap = self.workers
-        if not self.oversubscribe:
-            cap = min(cap, available_cpus())
-        return max(1, min(cap, num_items))
+        return max(1, min(self.workers, available_cpus(), num_items))
 
     @property
     def is_serial(self) -> bool:
@@ -102,39 +81,19 @@ def parallel_map(
     fn: Callable[[Any], Any],
     items: Iterable[Any],
     config: ParallelConfig | None = None,
-    *,
-    initializer: Callable[..., None] | None = None,
-    initargs: Sequence[Any] = (),
 ) -> list[Any]:
     """Ordered ``[fn(item) for item in items]`` under ``config``'s backend.
 
-    ``initializer(*initargs)`` installs per-worker state.  When the call
-    degenerates to in-process execution (serial backend, one worker, at
-    most one item, or a pool capped to one worker by
-    :meth:`ParallelConfig.pool_size`) the initializer runs once in the
-    calling process, so ``fn`` may rely on it unconditionally.
+    Degenerates to in-process execution for the serial backend, one
+    worker, at most one item, or a pool capped to one worker by
+    :meth:`ParallelConfig.pool_size`.
     """
     work = list(items)
     cfg = config or ParallelConfig()
     workers = cfg.pool_size(len(work))
-    if cfg.is_serial or len(work) <= 1 or workers <= 1:
-        if initializer is not None:
-            initializer(*initargs)
+    if cfg.is_serial or workers <= 1:
         return [fn(item) for item in work]
-    if cfg.backend == "threads":
-        with ThreadPoolExecutor(
-            max_workers=workers,
-            thread_name_prefix="repro-map",
-            initializer=initializer,
-            initargs=tuple(initargs),
-        ) as pool:
-            return list(pool.map(fn, work))
-
-    # processes: chunk to amortise IPC without starving the tail.
-    chunksize = max(1, len(work) // (workers * 4))
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=initializer,
-        initargs=tuple(initargs),
+    with ThreadPoolExecutor(
+        max_workers=workers, thread_name_prefix="repro-map"
     ) as pool:
-        return list(pool.map(fn, work, chunksize=chunksize))
+        return list(pool.map(fn, work))

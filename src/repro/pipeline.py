@@ -175,9 +175,9 @@ class AnalyzerConfig:
     # coherent pair of settings.
     tracking: TrackingConfig = field(default_factory=TrackingConfig)
     robustness: RobustnessConfig = field(default_factory=RobustnessConfig)
-    # Execution backend for the embarrassingly parallel stages (frame
-    # segmentation, batch fan-out).  Never changes results, so it is
-    # excluded from `config_hash` — see repro.perf.
+    # Execution backend for the per-frame segmentation fan-out.  Never
+    # changes results, so it is excluded from `config_hash` — see
+    # repro.perf.
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
     # Trajectory filtering before scoring.  "median" (default) removes
     # single-frame tracking spikes without shaving multi-frame extremes

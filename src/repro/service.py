@@ -111,7 +111,6 @@ from .jobs import (
     JobsConfig,
     JobStore,
 )
-from .perf import shm
 from .perf.cache import AnalyzerCache
 from .perf.pool import WorkerPool
 from .pipeline import AnalyzerConfig, JumpAnalyzer
@@ -488,7 +487,6 @@ class _Handler(BaseHTTPRequestHandler):
             "breaker_trips": job_stats.get("breaker", {}).get("trips", 0),
             "resumed_jobs": job_stats.get("resumed", 0),
             "tasks_cancelled_at_shutdown": lifecycle.cancelled_at_shutdown,
-            "shm_fallbacks": shm.fallback_count(),
         }
         self._send_json(200, snapshot)
         self._finish(200)

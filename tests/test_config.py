@@ -172,7 +172,7 @@ class TestPresets:
 
     def test_parallel_round_trips_through_config_layer(self):
         config = AnalyzerConfig(
-            parallel=ParallelConfig(backend="processes", workers=3)
+            parallel=ParallelConfig(backend="threads", workers=3)
         )
         restored = config_from_dict(AnalyzerConfig, config_to_dict(config))
         assert restored == config

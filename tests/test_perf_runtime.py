@@ -15,7 +15,6 @@ from repro.runtime import Instrumentation
 
 
 def _square(value):
-    """Module-level so the processes backend can pickle it."""
     return value * value
 
 
@@ -23,31 +22,20 @@ def _boom(value):
     raise ValueError(f"worker refused item {value}")
 
 
-_WORKER_OFFSET = 0
-
-
-def _install_offset(offset):
-    global _WORKER_OFFSET
-    _WORKER_OFFSET = offset
-
-
-def _add_offset(value):
-    return value + _WORKER_OFFSET
-
-
 class TestParallelConfig:
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ConfigurationError, match="backend"):
-            ParallelConfig(backend="fibers")
+        # The removed "processes" backend is refused like any unknown name.
+        for backend in ("fibers", "processes"):
+            with pytest.raises(ConfigurationError, match=backend):
+                ParallelConfig(backend=backend)
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ConfigurationError, match="workers"):
             ParallelConfig(workers=0)
 
-    def test_pool_size_never_exceeds_items(self):
-        config = ParallelConfig(
-            backend="threads", workers=8, oversubscribe=True
-        )
+    def test_pool_size_never_exceeds_items(self, monkeypatch):
+        monkeypatch.setattr(executors, "available_cpus", lambda: 16)
+        config = ParallelConfig(backend="threads", workers=8)
         assert config.pool_size(3) == 3
         assert config.pool_size(100) == 8
 
@@ -55,12 +43,6 @@ class TestParallelConfig:
         monkeypatch.setattr(executors, "available_cpus", lambda: 2)
         config = ParallelConfig(backend="threads", workers=8)
         assert config.pool_size(100) == 2
-        # oversubscribe is the explicit escape hatch (benches, tests
-        # that must exercise a real pool regardless of the host).
-        forced = ParallelConfig(
-            backend="threads", workers=8, oversubscribe=True
-        )
-        assert forced.pool_size(100) == 8
 
     def test_serial_detection(self):
         assert ParallelConfig().is_serial
@@ -80,26 +62,6 @@ class TestParallelMap:
         config = ParallelConfig(backend=backend, workers=2)
         with pytest.raises(ValueError, match="refused item"):
             parallel_map(_boom, [1, 2, 3], config)
-
-    def test_initializer_runs_in_process_when_serial(self):
-        out = parallel_map(
-            _add_offset,
-            [1, 2],
-            ParallelConfig(),
-            initializer=_install_offset,
-            initargs=(100,),
-        )
-        assert out == [101, 102]
-
-    def test_initializer_reaches_process_workers(self):
-        out = parallel_map(
-            _add_offset,
-            list(range(6)),
-            ParallelConfig(backend="processes", workers=2),
-            initializer=_install_offset,
-            initargs=(1000,),
-        )
-        assert out == [1000 + i for i in range(6)]
 
 
 class TestInstrumentationMerge:
@@ -226,9 +188,7 @@ class TestBenchHarness:
         sections = quick_report["sections"]
         assert set(sections["segmentation"]["backends"]) == {"serial", "threads"}
         assert sections["ga_single_frame"]["identical_best"] is True
-        assert sections["end_to_end"]["baseline"]["seconds"] > 0
         assert sections["end_to_end"]["optimized"]["seconds"] > 0
-        assert sections["end_to_end"]["speedup"] > 0
         ttfr = sections["time_to_first_result"]
         assert ttfr["warmup_frames"] >= 2
         assert ttfr["first_result_seconds"] > 0
@@ -236,12 +196,6 @@ class TestBenchHarness:
         fitness_batch = sections["fitness_batch"]
         assert fitness_batch["identical_values"] is True
         assert fitness_batch["batched"]["evaluations_per_sec"] > 0
-        scale_out = sections["scale_out"]
-        assert scale_out["available_cpus"] >= 1
-        assert scale_out["dispatch"]["tasks"] > 0
-        for entry in scale_out["sizes"]:
-            assert entry["payload"]["payload_reduction"] >= 50
-            assert entry["serial"]["frames_per_sec"] > 0
 
     def test_report_is_json_ready(self, quick_report):
         import json

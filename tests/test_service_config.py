@@ -85,34 +85,38 @@ class TestPerRequestConfig:
         assert result["config_hash"] == default_config.hash
 
     def test_unknown_config_key_is_structured_400(self, service, tiny_jump):
-        request = _post(
-            service,
-            {
-                "video_npz_b64": encode_video(tiny_jump.video),
-                "config": {"tracker": {"no_such_knob": 1}},
-            },
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=30)
-        assert excinfo.value.code == 400
-        error = json.loads(excinfo.value.read())["error"]
-        assert error["type"] == "bad_config"
-        assert "no_such_knob" in error["message"]
+        # A removed key must fail loudly rather than be ignored.
+        for config, name in (
+            ({"tracker": {"no_such_knob": 1}}, "no_such_knob"),
+            ({"parallel": {"shared_memory": True}}, "shared_memory"),
+        ):
+            request = _post(
+                service,
+                {"video_npz_b64": encode_video(tiny_jump.video), "config": config},
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=30)
+            assert excinfo.value.code == 400
+            error = json.loads(excinfo.value.read())["error"]
+            assert error["type"] == "bad_config"
+            assert name in error["message"]
 
     def test_ill_typed_value_is_structured_400(self, service, tiny_jump):
-        request = _post(
-            service,
-            {
-                "video_npz_b64": encode_video(tiny_jump.video),
-                "config": {"tracker": {"ga": {"max_generations": "banana"}}},
-            },
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=30)
-        assert excinfo.value.code == 400
-        error = json.loads(excinfo.value.read())["error"]
-        assert error["type"] == "bad_config"
-        assert "tracker.ga.max_generations" in error["message"]
+        # A removed backend must be refused by name.
+        for config, name in (
+            ({"tracker": {"ga": {"max_generations": "banana"}}}, "tracker.ga.max_generations"),
+            ({"parallel": {"backend": "processes"}}, "processes"),
+        ):
+            request = _post(
+                service,
+                {"video_npz_b64": encode_video(tiny_jump.video), "config": config},
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=30)
+            assert excinfo.value.code == 400
+            error = json.loads(excinfo.value.read())["error"]
+            assert error["type"] == "bad_config"
+            assert name in error["message"]
 
     def test_unknown_preset_is_structured_400(self, service, tiny_jump):
         request = _post(

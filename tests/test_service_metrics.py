@@ -177,15 +177,14 @@ class TestMetricsEndpoint:
 
 
 class TestScaleOutObservability:
-    """`--procs` observability: pid + shm fallback counter per replica."""
+    """`--procs` observability: each replica reports its own pid."""
 
-    def test_metrics_expose_pid_and_shm_fallbacks(self):
+    def test_metrics_expose_pid(self):
         import os
 
         with ServiceHandle() as handle:
             snapshot = _get_json(f"{handle.address}/metrics")
             assert snapshot["service"]["pid"] == os.getpid()
-            assert snapshot["service"]["shm_fallbacks"] == 0
             health = _get_json(f"{handle.address}/health")
             assert health["pid"] == os.getpid()
 
