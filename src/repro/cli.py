@@ -19,9 +19,9 @@ Subcommands:
   landing / score estimates evolve before the final report.
 * ``slj chaos`` — fault-injection sweep (one analysis per fault) with
   a survival report; ``--min-survival`` turns it into a CI gate.
-* ``slj bench`` — time the hot paths (segmentation backends, the GA
-  with/without incremental evaluation, tracking, end to end) and write
-  a machine-readable report; ``--baseline`` turns it into a CI gate.
+* ``slj bench`` — time the hot paths (segmentation backends, the
+  single-frame GA, tracking, end to end) and write a machine-readable
+  report; ``--baseline`` turns it into a CI gate.
 
 ``analyze``, ``demo``, ``evaluate`` and ``chaos`` share the configuration flags
 ``--config PATH`` (JSON/TOML file, or an analysis JSON reproducing
@@ -805,10 +805,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     ga = sections["ga_single_frame"]
     print(
-        f"single-frame GA: incremental "
-        f"{ga['incremental']['evaluations_per_sec']} evals/sec vs full "
-        f"{ga['full']['evaluations_per_sec']} evals/sec "
-        f"({ga['speedup']}x, identical best: {ga['identical_best']})"
+        f"single-frame GA: {ga['evaluations_per_sec']} evals/sec "
+        f"({ga['seconds']}s)"
     )
     print(
         f"tracking: {sections['tracking']['frames_per_sec']} frames/sec"

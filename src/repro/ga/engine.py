@@ -42,19 +42,6 @@ class GAConfig:
     patience: int | None = 15  # stop after this many stale generations
     target_fitness: float | None = None
     offspring_attempts: int = 10  # retries to produce a valid child
-    # Carry known fitness values across generations (elites survive
-    # unchanged; exhausted-retry fallbacks are parent copies) and score
-    # only fresh offspring.  Requires the fitness of a chromosome to be
-    # independent of the rest of the batch — true of every fitness in
-    # this repo (Eq. 3 is a per-chromosome sum over silhouette points).
-    # The search trajectory is identical either way; only the number of
-    # `fitness_fn` rows changes.  Off by default: at this repo's
-    # population sizes the vectorised fitness batch is so cheap that
-    # the split-batch bookkeeping costs more than the skipped rows —
-    # BENCH_4 measured 0.817x (a slowdown) with `identical_best` true.
-    # Flip on only when a single fitness row is genuinely expensive
-    # (e.g. max_points far above the presets').
-    incremental: bool = False
     operators: OperatorConfig = field(default_factory=OperatorConfig)
     # "ranking" (default): linear rank-proportional parent choice —
     # "the fittest ... have a higher probability to be picked".
@@ -185,11 +172,6 @@ class GeneticAlgorithm:
             fitness = fitness[order]
 
             next_population = [population[i].copy() for i in range(cfg.elite_count)]
-            # Fitness already known for row i, or None for fresh offspring.
-            carried: list[float | None] = [
-                float(fitness[i]) for i in range(cfg.elite_count)
-            ]
-
             while len(next_population) < cfg.population_size:
                 pa, pb = self._pick_parents(rng, ranks_weights, ranks_cdf)
                 child = self._make_child(
@@ -198,29 +180,14 @@ class GeneticAlgorithm:
                 if child is None:
                     rejected += 1
                     # Fall back to the better parent, kept as-is.
-                    keep = min(pa, pb)
-                    child = population[keep].copy()
-                    carried.append(float(fitness[keep]))
-                else:
-                    carried.append(None)
+                    child = population[min(pa, pb)].copy()
                 next_population.append(child)
 
+            # Every row is scored; a memoising fitness (see
+            # SilhouetteFitness) answers elites and parent copies.
             population = np.vstack(next_population)
-            if cfg.incremental:
-                fresh = [i for i, known in enumerate(carried) if known is None]
-                scored = np.empty(cfg.population_size, dtype=np.float64)
-                for i, known in enumerate(carried):
-                    if known is not None:
-                        scored[i] = known
-                if fresh:
-                    scored[fresh] = np.asarray(
-                        fitness_fn(population[fresh]), dtype=np.float64
-                    ).reshape(-1)
-                fitness = scored
-                evaluations += len(fresh)
-            else:
-                fitness = np.asarray(fitness_fn(population), dtype=np.float64)
-                evaluations += population.shape[0]
+            fitness = np.asarray(fitness_fn(population), dtype=np.float64)
+            evaluations += population.shape[0]
 
             gen_best = float(fitness.min())
             if gen_best < result.best_fitness - 1e-12:

@@ -320,7 +320,10 @@ class TemporalPoseTracker:
     tracker times every frame under the ``tracking/frame`` span,
     forwards the GA's counters (generations, fitness evaluations,
     rejected offspring), accumulates ``fitness.silhouette_points`` and
-    emits one ``tracking/frame`` convergence event per tracked frame.
+    ``fitness.rows_scored`` (the chromosomes Eq. 3 actually computed;
+    every other fitness row was answered from the frame's score table)
+    and emits one ``tracking/frame`` convergence event per tracked
+    frame.
     """
 
     def __init__(
@@ -438,6 +441,7 @@ class TemporalPoseTracker:
         # Keep the GA's internal objective in best_fitness (consistent
         # with its history); expose the raw Eq. 3 value separately.
         result.raw_fitness = float(fitness.evaluate(result.best_genes))
+        self.instrumentation.count("fitness.rows_scored", fitness.rows_scored)
         return pose, result
 
     def _rescue_limbs(

@@ -9,9 +9,14 @@ parents; the groups keep kinematically related sticks together:
 * ``(ρ1, ρ4)`` — neck and head,
 * ``(ρ2, ρ5)`` — upper arm and forearm,
 * ``(ρ3, ρ6, ρ7)`` — thigh, shank and foot.
+
+:class:`RowMemo` remembers per-chromosome results against one
+silhouette, keyed by the chromosome's bytes.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -76,3 +81,47 @@ def chromosome_distance(a: np.ndarray, b: np.ndarray) -> float:
     center = float(np.hypot(a[0] - b[0], a[1] - b[1]))
     diff = np.mod(a[2:] - b[2:] + 180.0, 360.0) - 180.0
     return center + float(np.abs(diff).mean())
+
+
+class RowMemo:
+    """Per-chromosome results of a row-wise batch function, by row bytes.
+
+    The GA's gentle operators make most offspring bit-exact copies of a
+    parent, and elites recur every generation, so the same chromosome
+    meets the same silhouette many times per frame.  A memo answers
+    every row it has seen and hands only the unseen, distinct rows to
+    ``compute`` in one vectorised call.  That is exact only because the
+    memoised functions score each row independently of its batch.
+
+    Each owner builds its own memo and dies with its frame; a table
+    outliving its silhouette would answer for a different mask.
+    """
+
+    #: Runaway-population guard: past this size the table restarts.
+    MAX_ROWS = 65536
+
+    def __init__(self, dtype: type) -> None:
+        self._dtype = dtype
+        self._table: dict[bytes, object] = {}
+        self.rows_computed = 0
+
+    def __call__(
+        self, rows: np.ndarray, compute: Callable[[np.ndarray], np.ndarray]
+    ) -> np.ndarray:
+        """``compute(rows)`` for a float64 ``(P, GENES)`` batch."""
+        table = self._table
+        blob = rows.tobytes()
+        width = rows.shape[1] * rows.itemsize
+        keys = [blob[start : start + width] for start in range(0, len(blob), width)]
+        unseen = {key: index for index, key in enumerate(keys) if key not in table}
+        if not unseen:
+            return np.array([table[key] for key in keys], dtype=self._dtype)
+        if len(table) + len(unseen) > self.MAX_ROWS:
+            table = self._table = {key: table[key] for key in keys if key in table}
+        self.rows_computed += len(unseen)
+        if len(unseen) == len(keys):  # all new and distinct: no gather
+            values = compute(rows)
+            table.update(zip(keys, values.tolist()))
+            return values
+        table.update(zip(unseen, compute(rows[list(unseen.values())]).tolist()))
+        return np.array([table[key] for key in keys], dtype=self._dtype)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .chromosome import RowMemo
 from .pose import GENES, StickPose, forward_kinematics
 from .sticks import BodyDimensions
 from ..imaging.image import ensure_mask
@@ -75,12 +76,11 @@ class ContainmentChecker:
         coded = np.zeros((self._height + 2, self._width + 2), dtype=np.int8)
         coded[1:-1, 1:-1] = 1 + self._region.astype(np.int8)
         self._coded_flat = np.ascontiguousarray(coded).reshape(-1)
-        # Verdicts memoised by chromosome bytes.  Offspring are often
-        # bit-exact parent copies (low crossover/mutation rates, elites
-        # recurring as parents), so the GA re-tests identical
-        # chromosomes many times per frame.  The checker is rebuilt per
-        # silhouette, which bounds the cache's lifetime.
-        self._verdicts: dict[bytes, bool] = {}
+        # Verdicts memoised by chromosome bytes, like fitness scores:
+        # the GA re-tests bit-exact parent copies many times per frame.
+        # The checker is rebuilt per silhouette, which bounds the
+        # table's lifetime.
+        self._verdicts = RowMemo(bool)
 
     def check(self, genes: np.ndarray) -> np.ndarray:
         """Boolean feasibility for each chromosome of a ``(P, 10)`` batch."""
@@ -90,21 +90,11 @@ class ContainmentChecker:
             genes = genes[None, :]
         if genes.shape[1] != GENES:
             raise ValueError(f"expected (P, {GENES}) chromosomes, got {genes.shape}")
-        if genes.shape[0] == 1:
-            key = genes.tobytes()
-            verdict = self._verdicts.get(key)
-            if verdict is None:
-                segments = forward_kinematics(genes, self._dims)
-                verdict = bool(self._check_batch(segments)[0])
-                if len(self._verdicts) >= 65536:  # runaway-population guard
-                    self._verdicts.clear()
-                self._verdicts[key] = verdict
-            return verdict if squeeze else np.array([verdict])
-        results = self._check_batch(forward_kinematics(genes, self._dims))
+        results = self._verdicts(genes, self._check_batch)
         return bool(results[0]) if squeeze else results
 
-    def _check_batch(self, segments: np.ndarray) -> np.ndarray:
-        """One numpy pass over all ``(P, 8, 2, 2)`` segment batches.
+    def _check_batch(self, genes: np.ndarray) -> np.ndarray:
+        """One numpy pass over a ``(P, 10)`` batch, with no table lookup.
 
         Produces exactly the per-chromosome test: sample points along
         every stick (same arithmetic as ``sample_segment_points``),
@@ -113,7 +103,7 @@ class ContainmentChecker:
         Parity with that loop is asserted in
         ``tests/test_perf_parity.py``.
         """
-        vals = self._sample_codes(segments)
+        vals = self._sample_codes(forward_kinematics(genes, self._dims))
         # Code 0 anywhere means a sample fell out of frame (the strict
         # gate); the inside fraction counts only code-2 samples, exactly
         # as `_region & in_frame` would.

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
+from .chromosome import RowMemo
 from .geometry import (
     mask_points_world,
     points_to_segments_distance,
     segment_distances_squared,
 )
-from .pose import StickPose, forward_kinematics
+from .pose import GENES, StickPose, forward_kinematics
 from .sticks import NUM_STICKS, BodyDimensions
 from ..errors import ConfigurationError, ModelError
 from ..imaging.image import ensure_mask
@@ -44,10 +45,9 @@ class FitnessConfig:
 
     ``chunk_size`` is the number of chromosomes scored per distance
     matrix; 0 picks a cache-friendly size from the silhouette point
-    count.  Chunk width only perturbs the summation order of the final
-    per-point mean: scores agree across chunkings to a few ulps, and
-    the end-to-end analysis output is bit-identical
-    (``tests/test_perf_parity.py``).
+    count.  It changes no score: each chromosome's per-point minima are
+    summed as one contiguous row, so a row scores the same bits in any
+    batch and under any chunk width (``tests/test_perf_parity.py``).
     """
 
     max_points: int = 1500
@@ -76,12 +76,30 @@ def _adaptive_chunk(num_points: int) -> int:
     return int(np.clip(target_elements // max(num_points * NUM_STICKS, 1), 8, 256))
 
 
+def _row_means(minima: np.ndarray) -> np.ndarray:
+    """Per-chromosome mean of ``(N, C)`` point minima, one row at a time.
+
+    Reducing the ``(N, C)`` block down its columns accumulates point by
+    point, but a lone column is summed pairwise, so a chromosome's
+    score would depend on how many rows shared its batch.  Summing each
+    chromosome's minima as one contiguous row makes numpy reduce every
+    row pairwise, the same bits whatever ``C`` is — which is what lets
+    :class:`SilhouetteFitness` reuse a score across batches.  float32
+    minima are widened in the same copy, so no buffered cast can split
+    a row either.
+    """
+    return np.ascontiguousarray(minima.T, dtype=np.float64).mean(axis=1)
+
+
 class SilhouetteFitness:
     """Evaluate Eq. 3 for chromosomes against one silhouette.
 
     The silhouette's pixel coordinates are extracted once at
     construction; each call to :meth:`evaluate` then costs one batched
-    point-to-segment distance computation.
+    point-to-segment distance computation over the chromosomes this
+    instance has not scored before.  Every score is remembered for the
+    instance's lifetime (one silhouette), so elites and bit-exact
+    parent copies are answered from the table.
     """
 
     def __init__(
@@ -112,6 +130,7 @@ class SilhouetteFitness:
             self._inv_thickness_sq32 = (
                 1.0 / (self._thickness * self._thickness)
             ).astype(np.float32)
+        self._scores = RowMemo(np.float64)
 
     @property
     def mask(self) -> np.ndarray:
@@ -133,24 +152,33 @@ class SilhouetteFitness:
         """Number of silhouette pixels before subsampling."""
         return self._total_points
 
+    @property
+    def rows_scored(self) -> int:
+        """Distinct chromosomes this instance has run through Eq. 3."""
+        return self._scores.rows_computed
+
     def evaluate(self, genes: np.ndarray) -> np.ndarray:
         """Fitness of each chromosome in a ``(P, 10)`` batch (lower = better)."""
         genes = np.asarray(genes, dtype=np.float64)
         squeeze = genes.ndim == 1
         if squeeze:
             genes = genes[None, :]
+        if genes.ndim != 2 or genes.shape[1] != GENES:
+            raise ModelError(f"genes must have shape (P, {GENES}), got {genes.shape}")
+        scores = self._scores(genes, self._score)
+        return scores[0] if squeeze else scores
+
+    def _score(self, genes: np.ndarray) -> np.ndarray:
+        """Eq. 3 for every row of ``genes``, with no table lookup."""
         segments = forward_kinematics(genes, self._dims)  # (P, 8, 2, 2)
         population = segments.shape[0]
         num_points = self._points.shape[0]
         # Chunk the population so the (N, C*8) distance matrix stays
-        # small enough to be cache-friendly.  Each chromosome's column
-        # is reduced independently; only the mean's summation order can
-        # shift with the chunk width (a few ulps at most).
+        # small enough to be cache-friendly.
         chunk = self._config.chunk_size or _adaptive_chunk(num_points)
         chunk = max(1, min(population, chunk))
         if self._config.precision == "float32":
-            scores = self._evaluate_float32(segments, chunk)
-            return scores[0] if squeeze else scores
+            return self._evaluate_float32(segments, chunk)
         scores = np.empty(population, dtype=np.float64)
         for start in range(0, population, chunk):
             block = segments[start : start + chunk]  # (C, 8, 2, 2)
@@ -158,10 +186,10 @@ class SilhouetteFitness:
             dists = geometry._segment_distances_fast(self._points, flat)
             dists = dists.reshape(num_points, block.shape[0], NUM_STICKS)
             normalised = dists / self._thickness[None, None, :]
-            scores[start : start + block.shape[0]] = (
-                normalised.min(axis=2).mean(axis=0)
+            scores[start : start + block.shape[0]] = _row_means(
+                normalised.min(axis=2)
             )
-        return scores[0] if squeeze else scores
+        return scores
 
     def _evaluate_float32(self, segments: np.ndarray, chunk: int) -> np.ndarray:
         """Reduced-precision Eq. 3: squared distances, one sqrt per point.
@@ -169,8 +197,8 @@ class SilhouetteFitness:
         ``min_l d/t_l == sqrt(min_l d²/t_l²)`` exactly in real
         arithmetic; in floats the reordering plus float32 storage moves
         scores by ~1e-3 relative (see ``docs/performance.md``).  The
-        final mean accumulates in float64 so the error does not grow
-        with the silhouette size.
+        point minima are widened to float64 before the mean, so the
+        error does not grow with the silhouette size.
         """
         population = segments.shape[0]
         num_points = self._points32.shape[0]
@@ -183,9 +211,7 @@ class SilhouetteFitness:
             sq = sq.reshape(num_points, block.shape[0], NUM_STICKS)
             normalised = sq * self._inv_thickness_sq32[None, None, :]
             best = np.sqrt(normalised.min(axis=2))
-            scores[start : start + block.shape[0]] = best.mean(
-                axis=0, dtype=np.float64
-            )
+            scores[start : start + block.shape[0]] = _row_means(best)
         return scores
 
     def evaluate_pose(self, pose: StickPose) -> float:

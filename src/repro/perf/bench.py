@@ -6,9 +6,9 @@ reports a machine-readable JSON document (committed as
 
 * ``segmentation`` — frames/sec of the five-step pipeline per
   execution backend (serial / threads);
-* ``ga_single_frame`` — the Shoji-style single-frame GA with and
-  without incremental elite-fitness reuse (evaluations/sec and the
-  proof that both reach the identical best fitness);
+* ``ga_single_frame`` — one run of the Shoji-style single-frame GA
+  (evaluations/sec: fitness rows requested, including those its
+  per-silhouette score table answers);
 * ``tracking`` — per-frame temporal tracking throughput, read from the
   end-to-end run's stage trace;
 * ``end_to_end`` — a full :meth:`JumpAnalyzer.analyze` under the
@@ -19,8 +19,9 @@ reports a machine-readable JSON document (committed as
   end-to-end latency it replaces;
 * ``fitness_batch`` — the population-batched
   :meth:`SilhouetteFitness.evaluate` against a per-chromosome loop
-  (evaluations/sec and the batch speedup), so the batching claim in
-  the docs stays a measured number;
+  (evaluations/sec and the batch speedup), each timed repeat on a
+  fresh instance so the Eq. 3 kernel runs rather than the score
+  table;
 * ``localization`` — the temporal attempt-localisation front-stage
   (:func:`repro.localization.localize_attempts`) over a long
   multi-attempt clip with dead time: frames/sec of the scan and
@@ -102,31 +103,20 @@ def _bench_ga_single_frame(
             angle_sigma=25.0,
         ),
     )
-    section: dict[str, Any] = {"generations": generations}
-    for label, incremental in (("incremental", True), ("full", False)):
-        config = SingleFrameConfig(
-            ga=dataclasses.replace(base_ga, incremental=incremental)
+    config = SingleFrameConfig(ga=base_ga)
+    seconds, estimate = _timed(
+        lambda: estimate_single_frame(
+            mask, dims, config, rng=np.random.default_rng(seed)
         )
-        seconds, estimate = _timed(
-            lambda: estimate_single_frame(
-                mask, dims, config, rng=np.random.default_rng(seed)
-            )
-        )
-        evaluations = estimate.search.total_evaluations
-        section[label] = {
-            "seconds": round(seconds, 4),
-            "evaluations": evaluations,
-            "evaluations_per_sec": round(evaluations / seconds, 1),
-            "best_fitness": float(estimate.fitness),
-        }
-    section["speedup"] = round(
-        section["full"]["seconds"] / section["incremental"]["seconds"], 3
     )
-    # Incremental reuse is seed-exact: same trajectory, fewer evaluations.
-    section["identical_best"] = (
-        section["incremental"]["best_fitness"] == section["full"]["best_fitness"]
-    )
-    return section
+    evaluations = estimate.search.total_evaluations
+    return {
+        "generations": generations,
+        "seconds": round(seconds, 4),
+        "evaluations": evaluations,
+        "evaluations_per_sec": round(evaluations / seconds, 1),
+        "best_fitness": float(estimate.fitness),
+    }
 
 
 def _analyze_once(
@@ -233,33 +223,38 @@ def _bench_fitness_batch(
 
     The GA has evaluated whole ``(P, 10)`` populations in one
     vectorised call since the perf layer landed; this section keeps
-    that a measured claim rather than a documentation assertion.
+    that a measured claim rather than a documentation assertion.  A
+    :class:`SilhouetteFitness` remembers every score it computed, so
+    each timed repeat gets an instance built before the clock starts.
     """
     from ..ga.population import random_population
     from ..model.fitness import SilhouetteFitness
 
     population = 64 if quick else 256
     repeats = 3 if quick else 10
-    fitness = SilhouetteFitness(mask, dims)
     genes = random_population(
         mask, population, rng=np.random.default_rng(seed)
     )
-    fitness.evaluate(genes)  # warm caches before timing
+    SilhouetteFitness(mask, dims).evaluate(genes)  # warm caches before timing
 
-    def _batched() -> np.ndarray:
-        for _ in range(repeats):
+    def _fresh() -> list[SilhouetteFitness]:
+        return [SilhouetteFitness(mask, dims) for _ in range(repeats)]
+
+    def _batched(instances: list[SilhouetteFitness]) -> np.ndarray:
+        for fitness in instances:
             values = fitness.evaluate(genes)
         return values
 
-    def _per_row() -> np.ndarray:
-        for _ in range(repeats):
+    def _per_row(instances: list[SilhouetteFitness]) -> np.ndarray:
+        for fitness in instances:
             values = np.array(
                 [float(fitness.evaluate(row)) for row in genes]
             )
         return values
 
-    batched_seconds, batched_values = _timed(_batched)
-    per_row_seconds, per_row_values = _timed(_per_row)
+    batch_instances, row_instances = _fresh(), _fresh()
+    batched_seconds, batched_values = _timed(lambda: _batched(batch_instances))
+    per_row_seconds, per_row_values = _timed(lambda: _per_row(row_instances))
     evaluations = population * repeats
     return {
         "population": population,
@@ -274,7 +269,7 @@ def _bench_fitness_batch(
         },
         "batch_speedup": round(per_row_seconds / batched_seconds, 3),
         "identical_values": bool(
-            np.allclose(batched_values, per_row_values)
+            np.array_equal(batched_values, per_row_values)
         ),
     }
 

@@ -1222,6 +1222,11 @@ class _SharedSocketHTTPServer(ThreadingHTTPServer):
             listener.getsockname()[:2], handler, bind_and_activate=False
         )
         self.socket.close()  # discard the unbound socket super() made
+        # Every worker's poll wakes on a new connection; the losers of
+        # the accept race must get BlockingIOError (socketserver's "no
+        # request") rather than block in accept(), where shutdown()
+        # would wait on them until the next connection arrives.
+        listener.setblocking(False)
         self.socket = listener
         # What server_bind() would have derived, minus the getfqdn()
         # DNS round-trip (the listener is already bound and listening).

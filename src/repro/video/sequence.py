@@ -20,19 +20,27 @@ class VideoSequence:
     """An ordered, fixed-size stack of RGB frames."""
 
     def __init__(self, frames: np.ndarray | Sequence[np.ndarray]) -> None:
-        if isinstance(frames, np.ndarray) and frames.ndim == 4:
-            stack = [ensure_rgb(frame, f"frame {i}") for i, frame in enumerate(frames)]
-        else:
-            stack = [ensure_rgb(frame, f"frame {i}") for i, frame in enumerate(frames)]
-        if not stack:
-            raise VideoError("a video sequence needs at least one frame")
-        shape = stack[0].shape
-        for index, frame in enumerate(stack):
-            if frame.shape != shape:
-                raise VideoError(
-                    f"frame {index} has shape {frame.shape}, expected {shape}"
+        # Convert frame by frame into one preallocated stack, so a decoded
+        # uint8 clip never holds two float64 copies of itself.  Every
+        # frame is validated before a shape mismatch is reported, so a
+        # dtype or range error anywhere in the clip takes precedence.
+        stack: np.ndarray | None = None
+        mismatch: str | None = None
+        for index, frame in enumerate(frames):
+            rgb = ensure_rgb(frame, f"frame {index}")
+            if stack is None:
+                stack = np.empty((len(frames),) + rgb.shape, dtype=np.float64)
+            if rgb.shape != stack.shape[1:]:
+                mismatch = mismatch or (
+                    f"frame {index} has shape {rgb.shape}, expected {stack.shape[1:]}"
                 )
-        self._frames = np.stack(stack, axis=0)
+                continue
+            stack[index] = rgb
+        if stack is None:
+            raise VideoError("a video sequence needs at least one frame")
+        if mismatch is not None:
+            raise VideoError(mismatch)
+        self._frames = stack
         self._frames.setflags(write=False)
 
     # ------------------------------------------------------------------

@@ -60,48 +60,15 @@ class TestOptimisation:
 
     def test_history_and_evaluations(self, rng):
         initial = rng.uniform(0, 10, (10, GENES))
-        config = GAConfig(
-            population_size=10, max_generations=5, patience=None, incremental=True
-        )
+        config = GAConfig(population_size=10, max_generations=5, patience=None)
         result = GeneticAlgorithm(config).run(initial, _sphere(np.zeros(GENES)), rng=rng)
         assert result.generations == 6  # gen 0 + 5
-        # Incremental evaluation skips the carried elite each generation:
-        # 10 initial + 5 generations x 9 fresh offspring (elite_count=1).
-        assert result.total_evaluations == 10 + 5 * 9
 
     def test_full_reevaluation_counts(self, rng):
         initial = rng.uniform(0, 10, (10, GENES))
-        config = GAConfig(
-            population_size=10, max_generations=5, patience=None, incremental=False
-        )
+        config = GAConfig(population_size=10, max_generations=5, patience=None)
         result = GeneticAlgorithm(config).run(initial, _sphere(np.zeros(GENES)), rng=rng)
         assert result.total_evaluations == 10 * 6
-
-    def test_incremental_matches_full_reevaluation(self):
-        """The satellite fix: carrying elite fitness is trajectory-exact."""
-        rng_a = np.random.default_rng(11)
-        initial = rng_a.uniform(0, 10, (12, GENES))
-        fitness = _sphere(np.full(GENES, 3.0))
-
-        def run(incremental):
-            config = GAConfig(
-                population_size=12, max_generations=8, patience=None,
-                incremental=incremental,
-            )
-            return GeneticAlgorithm(config).run(
-                initial, fitness, rng=np.random.default_rng(5)
-            )
-
-        fast, slow = run(True), run(False)
-        assert np.array_equal(fast.best_genes, slow.best_genes)
-        assert fast.best_fitness == slow.best_fitness
-        assert [s.best_fitness for s in fast.history] == [
-            s.best_fitness for s in slow.history
-        ]
-        assert [s.mean_fitness for s in fast.history] == [
-            s.mean_fitness for s in slow.history
-        ]
-        assert fast.total_evaluations < slow.total_evaluations
 
     def test_target_fitness_stops_early(self, rng):
         initial = np.zeros((10, GENES))

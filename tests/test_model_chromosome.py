@@ -8,6 +8,7 @@ from repro.model.chromosome import (
     GENE_GROUPS,
     GENE_X0,
     GENE_Y0,
+    RowMemo,
     angle_gene,
     chromosome_distance,
     group_spans,
@@ -80,3 +81,24 @@ class TestDistance:
         b = np.zeros(GENES)
         a[2], b[2] = 359.0, 1.0
         assert chromosome_distance(a, b) == pytest.approx(2.0 / 8)
+
+
+class TestRowMemo:
+    def test_runaway_guard_restarts_the_table_keeping_answers(self):
+        memo = RowMemo(np.float64)
+        memo.MAX_ROWS = 4
+        calls = []
+
+        def compute(rows):
+            calls.append(rows.shape[0])
+            return rows.sum(axis=1)
+
+        rows = np.arange(3 * GENES, dtype=np.float64).reshape(3, GENES)
+        memo(rows, compute)
+        # One remembered row and two new ones overflow the table.
+        mixed = np.vstack([rows[:1], rows[:1] + 100.0, rows[:1] + 200.0])
+        assert np.array_equal(memo(mixed, compute), mixed.sum(axis=1))
+        assert calls == [3, 2]
+        assert memo.rows_computed == 5
+        assert np.array_equal(memo(mixed, compute), mixed.sum(axis=1))
+        assert calls == [3, 2]

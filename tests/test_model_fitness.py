@@ -39,11 +39,24 @@ class TestSilhouetteFitness:
 
     def test_batch_matches_single(self, rng):
         pose, mask = _standing_setup()
-        fitness = SilhouetteFitness(mask, BODY)
         genes = np.stack([pose.to_genes() + rng.normal(0, 2, 10) for _ in range(6)])
-        batch = fitness.evaluate(genes)
+        batch = SilhouetteFitness(mask, BODY).evaluate(genes)
+        # A fresh instance, so each single is computed, not looked up.
+        fitness = SilhouetteFitness(mask, BODY)
         singles = np.array([fitness.evaluate(genes[i]) for i in range(6)])
-        assert np.allclose(batch, singles)
+        assert np.array_equal(batch, singles)
+
+    def test_rows_scored_counts_distinct_computed_rows(self, rng):
+        pose, mask = _standing_setup()
+        fitness = SilhouetteFitness(mask, BODY)
+        distinct = pose.to_genes() + rng.normal(0, 2, (4, 10))
+        batch = distinct[[0, 1, 0, 2, 3, 3, 1]]
+        first = fitness.evaluate(batch)
+        assert fitness.rows_scored == 4
+        again = fitness.evaluate(batch)
+        assert fitness.rows_scored == 4
+        assert np.array_equal(first, again)
+        assert first[0] == first[2] and first[4] == first[5]
 
     def test_scale_invariance_of_units(self):
         # Fitness is normalised by thickness, so doubling the body and

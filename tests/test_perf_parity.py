@@ -11,6 +11,9 @@ checked against them:
   every chromosome, in-frame or not;
 * the inline CDF selection draws the same parents from the same RNG
   stream as ``rng.choice``;
+* a fitness row scores the same bits alone, in any batch and under any
+  chunk width, so the per-silhouette score table answers exactly what
+  the kernel would compute;
 * execution backends (serial / threads) produce byte-identical
   analysis serialisations;
 * the whole optimised stack reproduces the reference stack end to end.
@@ -95,6 +98,19 @@ def reference_check(checker, genes):
         dtype=bool,
     )
     return bool(results[0]) if squeeze else results
+
+
+def reference_evaluate(fitness, genes):
+    """``SilhouetteFitness.evaluate`` one chromosome at a time, no table."""
+    genes = np.asarray(genes, dtype=np.float64)
+    squeeze = genes.ndim == 1
+    rows = genes[None, :] if squeeze else genes
+    scores = np.empty(rows.shape[0])
+    for p, row in enumerate(rows):
+        segments = forward_kinematics(row[None, :], fitness.dims)[0]
+        dists = geometry._segment_distances_fast(fitness._points, segments)
+        scores[p] = (dists / fitness._thickness).min(axis=1).mean()
+    return scores[0] if squeeze else scores
 
 
 def reference_pick_parents(ga, rng, weights, cdf):
@@ -208,8 +224,8 @@ def _stripped(analysis, drop_config=False):
     payload["config"].pop("parallel", None)  # execution-only knob
     if drop_config:
         # Legacy-vs-optimised runs legitimately carry different configs
-        # (incremental off, fixed chunk); the parity claim is about the
-        # numeric output, not the config echo.
+        # (serial execution); the parity claim is about the numeric
+        # output, not the config echo.
         payload.pop("config", None)
         payload.pop("config_hash", None)
     return json.dumps(payload, sort_keys=True)
@@ -260,7 +276,7 @@ class TestEndToEndParity:
         assert outputs["serial"] == outputs["threads"]
 
     def test_optimized_stack_matches_legacy_stack(self, small_jump, monkeypatch):
-        """Defaults vs the reference kernels + full GA re-evaluation.
+        """Defaults vs the reference kernels, every fitness row computed.
 
         Both runs happen on this machine, in this process, so forward
         kinematics (numpy's SIMD ``sin``/``cos``) rounds identically in
@@ -272,17 +288,8 @@ class TestEndToEndParity:
         config = get_preset("fast")
         optimized = _stripped(_analyze(config, jump, annotation), drop_config=True)
 
-        tracker = config.tracker
-        legacy_config = dataclasses.replace(
-            config,
-            parallel=ParallelConfig(),
-            tracker=dataclasses.replace(
-                tracker,
-                ga=dataclasses.replace(tracker.ga, incremental=False),
-                fitness=dataclasses.replace(tracker.fitness, chunk_size=64),
-            ),
-        )
-        calls = {"distances": 0, "containment": 0, "selection": 0}
+        legacy_config = dataclasses.replace(config, parallel=ParallelConfig())
+        calls = {"distances": 0, "fitness": 0, "containment": 0, "selection": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -295,6 +302,9 @@ class TestEndToEndParity:
             geometry,
             "_segment_distances_fast",
             counted("distances", reference_segment_distances),
+        )
+        monkeypatch.setattr(
+            SilhouetteFitness, "evaluate", counted("fitness", reference_evaluate)
         )
         monkeypatch.setattr(
             ContainmentChecker, "check", counted("containment", reference_check)
@@ -314,8 +324,8 @@ class TestEndToEndParity:
 
 
 class TestFitnessPrecision:
-    def test_chunking_only_moves_scores_by_ulps(self):
-        """Chunk width reorders the final mean's summation, nothing more."""
+    def test_chunking_never_moves_scores(self):
+        """Each row is reduced alone, so chunk width changes no bit."""
         pose, mask = _setup()
         genes = _random_genes(np.random.default_rng(7), 48, pose)
         scores = {
@@ -325,7 +335,7 @@ class TestFitnessPrecision:
             for chunk in (0, 1, 7, 64)
         }
         for chunk, values in scores.items():
-            np.testing.assert_allclose(values, scores[0], rtol=1e-13, atol=0.0)
+            np.testing.assert_array_equal(values, scores[0], err_msg=str(chunk))
 
     def test_float32_fast_path_stays_within_tolerance(self):
         pose, mask = _setup()

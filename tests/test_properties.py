@@ -18,6 +18,7 @@ from repro.model.geometry import (
     world_to_image,
     wrap_angle,
 )
+from repro.model.fitness import FitnessConfig, SilhouetteFitness
 from repro.model.pose import GENES, StickPose, forward_kinematics
 from repro.model.sticks import default_body
 
@@ -150,6 +151,60 @@ class TestKinematicProperties:
         pose = StickPose.from_genes(genes)
         again = StickPose.from_genes(pose.to_genes())
         assert np.allclose(pose.to_genes(), again.to_genes())
+
+
+def _random_silhouette(rng):
+    """A blotchy mask of a few hundred to ~1,400 points, never empty."""
+    shape = (int(rng.integers(30, 48)), int(rng.integers(30, 48)))
+    mask = rng.random(shape) < rng.uniform(0.2, 0.6)
+    mask[shape[0] // 2, shape[1] // 2] = True
+    return mask
+
+
+class TestFitnessTableProperties:
+    """A row's Eq. 3 score never depends on its batch or on the table."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 300),
+        st.sampled_from(["float64", "float32"]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_table_answers_exactly_what_the_kernel_computes(
+        self, seed, rows, precision
+    ):
+        rng = np.random.default_rng(seed)
+        config = FitnessConfig(precision=precision)
+        mask = _random_silhouette(rng)
+        height, width = mask.shape
+        # Duplicates, and (past ~50 distinct rows) more distinct rows
+        # than one adaptive chunk holds.
+        distinct = np.column_stack([
+            rng.uniform(0, width, max(1, 2 * rows // 3)),
+            rng.uniform(0, height, max(1, 2 * rows // 3)),
+            rng.uniform(0, 360, (max(1, 2 * rows // 3), GENES - 2)),
+        ])
+        batch = distinct[rng.integers(0, distinct.shape[0], rows)]
+
+        fitness = SilhouetteFitness(mask, BODY, config)
+        scores = fitness.evaluate(batch)
+        alone = SilhouetteFitness(mask, BODY, config)
+        singles = np.array([alone.evaluate(batch[i : i + 1])[0] for i in range(rows)])
+        assert np.array_equal(scores, singles)
+        assert np.array_equal(fitness.evaluate(batch), scores)
+
+        # A table outliving its silhouette (say, keyed by id(self),
+        # which a new instance may reuse) would answer for the old mask.
+        other = np.roll(mask, 1 + int(rng.integers(0, width - 1)), axis=1)
+        other[0, :] = ~other[0, :]
+        expected = SilhouetteFitness(other, BODY, config)
+        expected_scores = np.array(
+            [expected.evaluate(batch[i : i + 1])[0] for i in range(rows)]
+        )
+        del fitness, alone
+        assert np.array_equal(
+            SilhouetteFitness(other, BODY, config).evaluate(batch), expected_scores
+        )
 
 
 class TestCoordinateProperties:

@@ -319,6 +319,7 @@ class TestAnalyzerOnRuntime:
         assert trace.counter("ga.generations") > 0
         assert trace.counter("ga.evaluations") > 0
         assert trace.counter("fitness.silhouette_points") > 0
+        assert trace.counter("fitness.rows_scored") > 0
         assert trace.counter("scoring.rules_evaluated") == 7
         assert trace.timing("tracking/frame").calls == 5
 

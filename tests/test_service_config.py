@@ -89,6 +89,7 @@ class TestPerRequestConfig:
         for config, name in (
             ({"tracker": {"no_such_knob": 1}}, "no_such_knob"),
             ({"parallel": {"shared_memory": True}}, "shared_memory"),
+            ({"tracker": {"ga": {"incremental": False}}}, "incremental"),
         ):
             request = _post(
                 service,

@@ -206,3 +206,36 @@ class TestScaleOutObservability:
             assert health["status"] == "ok"
         finally:
             handle.stop()
+
+    def test_shared_listener_stops_after_a_lost_accept_race(self):
+        """Two servers on one listener, as `--procs 2` forks them.
+
+        A connection wakes both servers' poll; the loser of the accept
+        race must not block in accept(), or its stop() would wait for a
+        connection that never comes.
+        """
+        import socket
+        import threading
+
+        for _ in range(3):
+            listener = socket.create_server(("127.0.0.1", 0), backlog=8)
+            port = listener.getsockname()[1]
+            adopted = [listener.dup() for _ in range(2)]
+            handles = [ServiceHandle(listener=sock).start() for sock in adopted]
+            try:
+                assert all(sock.getblocking() is False for sock in adopted)
+                health = _get_json(f"http://127.0.0.1:{port}/v1/health")
+                assert health["status"] == "ok"
+                stoppers = [threading.Thread(target=h.stop, daemon=True) for h in handles]
+                for thread in stoppers:
+                    thread.start()
+                for thread in stoppers:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in stoppers)
+            finally:
+                # Free an accept() a regression left blocked.
+                try:
+                    socket.create_connection(("127.0.0.1", port), timeout=1).close()
+                except OSError:
+                    pass
+                listener.close()

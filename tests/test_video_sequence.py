@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import VideoError
+from repro.errors import ImageError, VideoError
 from repro.video.sequence import VideoSequence
 
 
@@ -32,6 +32,32 @@ class TestConstruction:
         frames.append(np.zeros((3, 3, 3)))
         with pytest.raises(VideoError):
             VideoSequence(frames)
+
+    def test_every_frame_validated_before_a_shape_mismatch(self):
+        frames = _frames(3)
+        frames[1] = np.zeros((5, 8, 3))  # wrong shape
+        frames[2] = np.full((6, 8, 3), 2.0)  # out of range
+        with pytest.raises(ImageError, match="frame 2"):
+            VideoSequence(frames)
+        frames[2] = np.zeros((6, 8, 3))
+        with pytest.raises(VideoError, match="frame 1 has shape"):
+            VideoSequence(frames)
+
+    def test_uint8_decode_fills_one_stack(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        frames = rng.integers(0, 256, (24, 60, 80, 3), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            video = VideoSequence(frames)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The float64 stack plus a frame's worth of conversion scratch,
+        # not a per-frame list and a stacked copy of it.
+        assert peak <= 1.25 * video.frames.nbytes
+        assert np.array_equal(video.frames, frames / 255.0)
 
     def test_frames_read_only(self):
         video = VideoSequence(_frames())
