@@ -19,9 +19,6 @@ Subcommands:
   landing / score estimates evolve before the final report.
 * ``slj chaos`` — fault-injection sweep (one analysis per fault) with
   a survival report; ``--min-survival`` turns it into a CI gate.
-* ``slj bench`` — time the hot paths (segmentation backends, the
-  single-frame GA, tracking, end to end) and write a machine-readable
-  report; ``--baseline`` turns it into a CI gate.
 
 ``analyze``, ``demo``, ``evaluate`` and ``chaos`` share the configuration flags
 ``--config PATH`` (JSON/TOML file, or an analysis JSON reproducing
@@ -762,94 +759,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .perf.bench import compare_to_baseline, run_bench
-
-    # Unlike analyze/demo, an unconfigured bench defaults to the `fast`
-    # preset (run_bench's default) rather than the paper defaults.
-    customised = (
-        args.preset or args.config or args.overrides or args.fast
-    )
-    config = _resolve_cli_config(args) if customised else None
-    baseline = None
-    if args.baseline is not None:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"no baseline file at {baseline_path}", file=sys.stderr)
-            return 1
-        baseline = _json.loads(baseline_path.read_text())
-    frames = args.frames
-    if frames is None:
-        if baseline is not None:
-            # Gate at the baseline's frame count: fixed per-run costs
-            # amortise differently across video lengths, so comparing
-            # frames/sec at mismatched lengths measures the mismatch,
-            # not a regression.
-            frames = int(baseline.get("params", {}).get("frames", 24))
-        else:
-            frames = 10 if args.quick else 24
-    report = run_bench(
-        config,
-        frames=frames,
-        workers=args.workers,
-        seed=args.seed,
-        quick=args.quick,
-    )
-    sections = report["sections"]
-    for backend, timing in sections["segmentation"]["backends"].items():
-        print(
-            f"segmentation[{backend}]: {timing['frames_per_sec']} frames/sec "
-            f"({timing['seconds']}s)"
-        )
-    ga = sections["ga_single_frame"]
-    print(
-        f"single-frame GA: {ga['evaluations_per_sec']} evals/sec "
-        f"({ga['seconds']}s)"
-    )
-    print(
-        f"tracking: {sections['tracking']['frames_per_sec']} frames/sec"
-    )
-    loc = sections.get("localization")
-    if loc:
-        print(
-            f"localization: {loc['windows_found']} windows in "
-            f"{loc['frames']} frames at {loc['frames_per_sec']} frames/sec "
-            f"({loc['windows_per_sec']} windows/sec)"
-        )
-    e2e = sections["end_to_end"]
-    print(
-        f"end-to-end: {e2e['optimized']['seconds']}s "
-        f"({e2e['optimized']['frames_per_sec']} frames/sec)"
-    )
-    ttfr = sections["time_to_first_result"]
-    print(
-        f"time to first result: stream {ttfr['first_result_seconds']}s "
-        f"(warmup {ttfr['warmup_frames']}) vs batch "
-        f"{ttfr['batch_seconds']}s -> {ttfr['ratio_vs_batch']}x"
-    )
-    multi = sections.get("multi_actor")
-    if multi:
-        print(
-            f"multi-actor: {multi['actors']} actors -> {multi['tracks']} "
-            f"tracks in {multi['seconds']}s "
-            f"({multi['overhead_vs_single']}x single-actor)"
-        )
-    if args.out is not None:
-        Path(args.out).write_text(_json.dumps(report, indent=2) + "\n")
-        print(f"wrote bench report to {args.out}")
-    if baseline is not None:
-        ok, message = compare_to_baseline(
-            report, baseline, max_regression=args.max_regression
-        )
-        if not ok:
-            print(f"FAIL: {message}", file=sys.stderr)
-            return 1
-        print(f"OK: {message}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -1170,47 +1079,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_config_arguments(p_chaos)
     p_chaos.set_defaults(func=_cmd_chaos)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="benchmark the hot paths and write a machine-readable report",
-    )
-    p_bench.add_argument(
-        "--frames",
-        type=int,
-        default=None,
-        help="synthetic jump length (default: 24, or 10 with --quick, "
-        "or the baseline's frame count when gating)",
-    )
-    p_bench.add_argument(
-        "--workers", type=int, default=4, help="parallel worker count"
-    )
-    p_bench.add_argument("--seed", type=int, default=3)
-    p_bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke mode: short video, trimmed GA budget",
-    )
-    p_bench.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the JSON report here (e.g. BENCH_6.json)",
-    )
-    p_bench.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="committed bench JSON to gate against (exit 1 on regression)",
-    )
-    p_bench.add_argument(
-        "--max-regression",
-        type=float,
-        default=2.0,
-        help="allowed end-to-end slowdown factor vs the baseline",
-    )
-    _add_config_arguments(p_bench)
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_eval = sub.add_parser(
         "evaluate", help="corpus evaluation: detection + tracking accuracy"

@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from .injectors import apply_stage_faults, inject_video_faults
-from .plan import FRAME_FAULT_KINDS, STAGE_FAULT_KINDS, FaultPlan, FaultSpec
+from .plan import FRAME_FAULT_KINDS, FaultPlan, FaultSpec
 
 
 @dataclass(frozen=True, slots=True)

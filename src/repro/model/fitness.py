@@ -42,18 +42,11 @@ class FitnessConfig:
     fast path that also minimises over *squared* normalised distances —
     scores agree with float64 to ~1e-3 relative (documented and
     enforced in ``tests/test_perf_parity.py``).
-
-    ``chunk_size`` is the number of chromosomes scored per distance
-    matrix; 0 picks a cache-friendly size from the silhouette point
-    count.  It changes no score: each chromosome's per-point minima are
-    summed as one contiguous row, so a row scores the same bits in any
-    batch and under any chunk width (``tests/test_perf_parity.py``).
     """
 
     max_points: int = 1500
     subsample_seed: int = 7
     precision: str = "float64"
-    chunk_size: int = 0
 
     def __post_init__(self) -> None:
         if self.max_points < 0:
@@ -63,10 +56,6 @@ class FitnessConfig:
         if self.precision not in ("float64", "float32"):
             raise ConfigurationError(
                 f"precision must be 'float64' or 'float32', got {self.precision!r}"
-            )
-        if self.chunk_size < 0:
-            raise ConfigurationError(
-                f"chunk_size must be >= 0 (0 = adaptive), got {self.chunk_size}"
             )
 
 
@@ -175,8 +164,7 @@ class SilhouetteFitness:
         num_points = self._points.shape[0]
         # Chunk the population so the (N, C*8) distance matrix stays
         # small enough to be cache-friendly.
-        chunk = self._config.chunk_size or _adaptive_chunk(num_points)
-        chunk = max(1, min(population, chunk))
+        chunk = _adaptive_chunk(num_points)
         if self._config.precision == "float32":
             return self._evaluate_float32(segments, chunk)
         scores = np.empty(population, dtype=np.float64)

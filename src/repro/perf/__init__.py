@@ -1,4 +1,4 @@
-"""Performance layer: execution backends, caches, and the bench harness.
+"""Performance layer: execution backends, the analyzer cache and the worker pool.
 
 ``repro.perf`` owns everything about *how fast* the pipeline runs and
 nothing about *what* it computes: switching the
@@ -18,11 +18,8 @@ Submodules
     :class:`WorkerPool`, the counted bounded thread pool shared by the
     synchronous service path, the batch fan-out and the async job
     subsystem (:mod:`repro.jobs`).
-``bench``
-    The ``slj bench`` harness; writes the ``BENCH_*.json`` trajectory.
 
-``bench`` is intentionally not imported here: it pulls in the full
-pipeline stack, which the leaf modules above must stay independent of.
+The repository's benchmark is ``perfbench/`` (see ``BENCHMARK.json``).
 """
 
 from __future__ import annotations

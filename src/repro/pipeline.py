@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .analysis.events import JumpEvents, detect_events
+from .analysis.events import JumpEvents
 from .analysis.trajectory import PoseTrajectory
 from .config.hashing import config_hash
 from .config.schema import config_from_dict, config_to_dict
@@ -50,7 +50,7 @@ from .runtime import (
     StageContext,
     StagePolicy,
 )
-from .scoring.distance import JumpMeasurement, measure_jump
+from .scoring.distance import JumpMeasurement
 from .scoring.report import JumpReport, JumpScorer
 from .segmentation.pipeline import (
     FrameSegmentation,

@@ -73,8 +73,7 @@ top-level ``"degraded": true`` and a ``"degradation"`` block.
 
 Start a server with :func:`serve` (blocking) or
 :class:`ServiceHandle` (background thread, used by the tests and the
-example).  The client side lives in :class:`repro.client.ServiceClient`;
-the old :func:`request_analysis` helper survives as a deprecated shim.
+example).  The client side lives in :class:`repro.client.ServiceClient`.
 """
 
 from __future__ import annotations
@@ -1501,37 +1500,3 @@ def _serve_forked(
         signal.signal(signal.SIGTERM, previous_term)
         signal.signal(signal.SIGINT, previous_int)
         listener.close()
-
-
-def request_analysis(
-    base_url: str,
-    video: VideoSequence,
-    annotation_dict: dict[str, Any] | None = None,
-    seed: int = 0,
-    timeout: float = 300.0,
-    config: dict[str, Any] | None = None,
-    preset: str | None = None,
-) -> dict[str, Any]:
-    """Deprecated: use :class:`repro.client.ServiceClient` instead.
-
-    Kept as a thin shim over ``ServiceClient.analyze`` so existing
-    callers keep working; it emits a :class:`DeprecationWarning`.
-    """
-    import warnings
-
-    from .client import ServiceClient
-
-    warnings.warn(
-        "request_analysis() is deprecated; use "
-        "repro.client.ServiceClient.analyze() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    client = ServiceClient(base_url, timeout=timeout)
-    return client.analyze(
-        video,
-        annotation=annotation_dict,
-        seed=seed,
-        config=config,
-        preset=preset,
-    )

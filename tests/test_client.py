@@ -1,8 +1,6 @@
-"""Tests for :class:`repro.client.ServiceClient` and the legacy shim."""
+"""Tests for :class:`repro.client.ServiceClient`."""
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 import pytest
@@ -19,7 +17,7 @@ from repro.ga.engine import GAConfig
 from repro.ga.temporal import TrackerConfig
 from repro.model.fitness import FitnessConfig
 from repro.pipeline import AnalyzerConfig, JumpAnalyzer
-from repro.service import ServiceHandle, request_analysis
+from repro.service import ServiceHandle
 
 
 def _fast_config():
@@ -112,12 +110,3 @@ class TestEndToEndParity:
         async_result = client.wait(job["id"], timeout=300.0)
         assert sync["report"] == async_result["report"]
         assert sync["config_hash"] == async_result["config_hash"]
-
-
-class TestDeprecatedShim:
-    def test_request_analysis_warns_and_works(self, fast_service, short_jump):
-        with pytest.warns(DeprecationWarning, match="ServiceClient"):
-            result = request_analysis(
-                fast_service.address, short_jump.video, seed=0
-            )
-        assert result["report"]["score"] >= 0.0

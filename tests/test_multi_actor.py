@@ -90,7 +90,7 @@ class TestSingleActorParity:
     """The refactor must not move the single-jumper path (pinned)."""
 
     def test_default_config_hash_pinned(self):
-        assert config_hash(config_to_dict(AnalyzerConfig())) == "14d8ed1243374bb6"
+        assert config_hash(config_to_dict(AnalyzerConfig())) == "4da5a4095700ad0d"
 
     def test_tracking_disabled_by_default(self):
         config = AnalyzerConfig()

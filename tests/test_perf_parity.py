@@ -324,19 +324,6 @@ class TestEndToEndParity:
 
 
 class TestFitnessPrecision:
-    def test_chunking_never_moves_scores(self):
-        """Each row is reduced alone, so chunk width changes no bit."""
-        pose, mask = _setup()
-        genes = _random_genes(np.random.default_rng(7), 48, pose)
-        scores = {
-            chunk: SilhouetteFitness(
-                mask, BODY, FitnessConfig(chunk_size=chunk)
-            ).evaluate(genes)
-            for chunk in (0, 1, 7, 64)
-        }
-        for chunk, values in scores.items():
-            np.testing.assert_array_equal(values, scores[0], err_msg=str(chunk))
-
     def test_float32_fast_path_stays_within_tolerance(self):
         pose, mask = _setup()
         genes = _random_genes(np.random.default_rng(8), 48, pose)

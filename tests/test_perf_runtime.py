@@ -1,4 +1,4 @@
-"""Tests for the perf runtime pieces: executors, cache, bench, merging."""
+"""Tests for the perf runtime pieces: executors, cache, merging."""
 
 import dataclasses
 import threading
@@ -6,7 +6,6 @@ import threading
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.perf.bench import compare_to_baseline, run_bench
 from repro.perf.cache import AnalyzerCache
 from repro.perf import executors
 from repro.perf.executors import BACKENDS, ParallelConfig, parallel_map
@@ -175,101 +174,3 @@ class TestAnalyzerCache:
     def test_capacity_validated(self):
         with pytest.raises(ConfigurationError):
             AnalyzerCache(lambda config: object(), capacity=0)
-
-
-class TestBenchHarness:
-    @pytest.fixture(scope="class")
-    def quick_report(self):
-        return run_bench(frames=4, workers=2, seed=3, quick=True)
-
-    def test_quick_report_shape(self, quick_report):
-        assert quick_report["bench_version"] >= 1
-        assert quick_report["config_hash"]
-        sections = quick_report["sections"]
-        assert set(sections["segmentation"]["backends"]) == {"serial", "threads"}
-        assert sections["ga_single_frame"]["evaluations_per_sec"] > 0
-        assert sections["end_to_end"]["optimized"]["seconds"] > 0
-        ttfr = sections["time_to_first_result"]
-        assert ttfr["warmup_frames"] >= 2
-        assert ttfr["first_result_seconds"] > 0
-        assert ttfr["ratio_vs_batch"] > 0
-        fitness_batch = sections["fitness_batch"]
-        assert fitness_batch["identical_values"] is True
-        assert fitness_batch["batched"]["evaluations_per_sec"] > 0
-
-    def test_report_is_json_ready(self, quick_report):
-        import json
-
-        json.dumps(quick_report)
-
-    def test_gate_accepts_itself(self, quick_report):
-        ok, message = compare_to_baseline(quick_report, quick_report)
-        assert ok
-        assert "frames/sec" in message
-
-    def test_gate_rejects_big_regression(self, quick_report):
-        inflated = {
-            "sections": {
-                "end_to_end": {
-                    "optimized": {
-                        "frames_per_sec": quick_report["sections"]["end_to_end"][
-                            "optimized"
-                        ]["frames_per_sec"]
-                        * 10.0
-                    }
-                }
-            }
-        }
-        ok, _ = compare_to_baseline(quick_report, inflated, max_regression=2.0)
-        assert not ok
-
-    def test_gate_reports_malformed_baseline(self, quick_report):
-        ok, message = compare_to_baseline(quick_report, {"sections": {}})
-        assert not ok
-        assert "baseline" in message
-
-    def test_committed_bench_file_is_current_schema(self):
-        import json
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parents[1] / "BENCH_4.json"
-        committed = json.loads(path.read_text())
-        assert committed["bench_version"] == 1
-        end_to_end = committed["sections"]["end_to_end"]
-        # The PR-4 acceptance floor: >= 2x end-to-end speedup.
-        assert end_to_end["speedup"] >= 2.0
-        assert end_to_end["optimized"]["frames_per_sec"] > 0
-
-    def test_committed_bench_6_shows_streaming_latency_win(self):
-        import json
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parents[1] / "BENCH_6.json"
-        committed = json.loads(path.read_text())
-        assert committed["bench_version"] == 1
-        assert committed["sections"]["end_to_end"]["speedup"] >= 2.0
-        ttfr = committed["sections"]["time_to_first_result"]
-        # The PR-6 acceptance floor: a live stream's first tracked
-        # result lands in < 0.25x the batch end-to-end latency.
-        assert ttfr["warmup_frames"] >= 2
-        assert ttfr["ratio_vs_batch"] < 0.25
-
-    def test_committed_bench_9_shows_scale_out_wins(self):
-        import json
-        from pathlib import Path
-
-        path = Path(__file__).resolve().parents[1] / "BENCH_9.json"
-        committed = json.loads(path.read_text())
-        assert committed["bench_version"] == 1
-        assert committed["sections"]["end_to_end"]["speedup"] >= 2.0
-        scale_out = committed["sections"]["scale_out"]
-        assert scale_out["sizes"], "scale_out must carry size entries"
-        for entry in scale_out["sizes"]:
-            # The PR-9 acceptance floors: descriptors shrink the
-            # per-task payload >= 50x, and the processes backend (CPU
-            # cap included) keeps up with the serial loop.
-            assert entry["payload"]["payload_reduction"] >= 50
-            assert entry["processes_vs_serial"] >= 1.0
-        fitness_batch = committed["sections"]["fitness_batch"]
-        assert fitness_batch["identical_values"] is True
-        assert fitness_batch["batch_speedup"] > 1.0

@@ -20,7 +20,6 @@ from repro.runtime import (
     NullSink,
     PipelineRunner,
     RunTrace,
-    StageContext,
     StageTiming,
     stage,
 )

@@ -7,6 +7,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.client import ServiceClient
 from repro.ga.engine import GAConfig
 from repro.ga.temporal import TrackerConfig
 from repro.model.annotation import simulate_human_annotation
@@ -17,7 +18,6 @@ from repro.service import (
     ServiceHandle,
     decode_video,
     encode_video,
-    request_analysis,
 )
 
 
@@ -90,10 +90,9 @@ class TestEndpoints:
             mask=jump.person_masks[0],
             rng=np.random.default_rng(0),
         )
-        result = request_analysis(
-            service.address,
+        result = ServiceClient(service.address).analyze(
             jump.video,
-            annotation_dict=annotation_to_dict(annotation),
+            annotation=annotation_to_dict(annotation),
             seed=1,
         )
         assert "report" in result and "advice" in result["report"]
@@ -186,7 +185,6 @@ class TestProfilesAPI:
             mask=jump.person_masks[0],
             rng=np.random.default_rng(0),
         )
-        from repro.client import ServiceClient
         from repro.serialization import annotation_to_dict
 
         client = ServiceClient(service.address)

@@ -11,12 +11,13 @@ import urllib.request
 
 import pytest
 
+from repro.client import ServiceClient
 from repro.config import config_to_dict
 from repro.ga.engine import GAConfig
 from repro.ga.temporal import TrackerConfig
 from repro.model.fitness import FitnessConfig
 from repro.pipeline import AnalyzerConfig
-from repro.service import ServiceHandle, encode_video, request_analysis
+from repro.service import ServiceHandle, encode_video
 
 
 @pytest.fixture(scope="module")
@@ -69,8 +70,7 @@ class TestConfigEndpoint:
 
 class TestPerRequestConfig:
     def test_config_block_overrides_defaults(self, service, tiny_jump):
-        result = request_analysis(
-            service.address,
+        result = ServiceClient(service.address).analyze(
             tiny_jump.video,
             config={"tracker": {"ga": {"max_generations": 2}}},
         )
@@ -81,7 +81,7 @@ class TestPerRequestConfig:
         assert result["trace"]["metadata"]["config_hash"] == result["config_hash"]
 
     def test_response_echoes_default_config_hash(self, service, tiny_jump, default_config):
-        result = request_analysis(service.address, tiny_jump.video)
+        result = ServiceClient(service.address).analyze(tiny_jump.video)
         assert result["config_hash"] == default_config.hash
 
     def test_unknown_config_key_is_structured_400(self, service, tiny_jump):
@@ -90,6 +90,7 @@ class TestPerRequestConfig:
             ({"tracker": {"no_such_knob": 1}}, "no_such_knob"),
             ({"parallel": {"shared_memory": True}}, "shared_memory"),
             ({"tracker": {"ga": {"incremental": False}}}, "incremental"),
+            ({"tracker": {"fitness": {"chunk_size": 0}}}, "chunk_size"),
         ):
             request = _post(
                 service,

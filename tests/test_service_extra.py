@@ -7,11 +7,12 @@ import urllib.request
 
 import pytest
 
+from repro.client import ServiceClient
 from repro.ga.engine import GAConfig
 from repro.ga.temporal import TrackerConfig
 from repro.model.fitness import FitnessConfig
 from repro.pipeline import AnalyzerConfig
-from repro.service import ServiceHandle, encode_video, request_analysis
+from repro.service import ServiceHandle, encode_video
 from repro.video.sequence import VideoSequence
 
 
@@ -63,8 +64,8 @@ class TestConcurrency:
         outcomes = {}
 
         def run(name, seed):
-            outcomes[name] = request_analysis(
-                service.address, tiny_jump.video, seed=seed
+            outcomes[name] = ServiceClient(service.address).analyze(
+                tiny_jump.video, seed=seed
             )
 
         a = threading.Thread(target=run, args=("a", 1))
@@ -191,8 +192,7 @@ class TestAnalyzerCacheMetrics:
     def test_per_request_config_populates_cache(self, service, tiny_jump):
         overrides = {"tracker": {"ga": {"max_generations": 5}}}
         for _ in range(2):
-            request_analysis(
-                f"{service.address}",
+            ServiceClient(f"{service.address}").analyze(
                 tiny_jump.video,
                 seed=0,
                 config=overrides,

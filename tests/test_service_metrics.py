@@ -6,11 +6,12 @@ import urllib.request
 
 import pytest
 
+from repro.client import ServiceClient
 from repro.ga.engine import GAConfig
 from repro.ga.temporal import TrackerConfig
 from repro.model.fitness import FitnessConfig
 from repro.pipeline import AnalyzerConfig
-from repro.service import ServiceHandle, request_analysis
+from repro.service import ServiceHandle
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +148,7 @@ class TestMetricsEndpoint:
     def test_analysis_populates_cumulative_stage_timings(
         self, service, tiny_jump
     ):
-        result = request_analysis(service.address, tiny_jump.video, seed=3)
+        result = ServiceClient(service.address).analyze(tiny_jump.video, seed=3)
         assert result["trace"]["total_seconds"] > 0.0
 
         snapshot = _get_json(f"{service.address}/metrics")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import repro.errors as errors_module
+from repro.client import ServiceClient
 from repro.errors import ReproError
 from repro.ga.engine import GAConfig
 from repro.ga.temporal import TrackerConfig
@@ -20,7 +21,6 @@ from repro.service import (
     ServiceConfig,
     ServiceHandle,
     encode_video,
-    request_analysis,
 )
 
 
@@ -244,10 +244,9 @@ class TestDegradedResponses:
         )
         handle = ServiceHandle(config=_fast_config()).start()
         try:
-            result = request_analysis(
-                handle.address,
+            result = ServiceClient(handle.address).analyze(
                 faulted,
-                annotation_dict=annotation_to_dict(annotation),
+                annotation=annotation_to_dict(annotation),
             )
             assert result["degraded"] is True
             target = FaultSpec(kind="blank_silhouette").resolve_frame(
@@ -267,10 +266,9 @@ class TestDegradedResponses:
         )
         handle = ServiceHandle(config=_fast_config()).start()
         try:
-            result = request_analysis(
-                handle.address,
+            result = ServiceClient(handle.address).analyze(
                 short_jump.video,
-                annotation_dict=annotation_to_dict(annotation),
+                annotation=annotation_to_dict(annotation),
             )
             assert result["degraded"] is False
             assert "degradation" not in result
