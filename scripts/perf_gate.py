@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -156,12 +157,19 @@ def run_pairs(base_checkout: Path) -> list[tuple[dict, dict]]:
     return pairs
 
 
+def _raise_on_sigterm(signum: int, _frame: object) -> None:
+    """SIGTERM as ``SystemExit(143)``: ``subprocess.run`` then kills the
+    running perfbench child and the ``finally`` removes the worktree."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, metavar="REV",
                         help="git revision to compare this checkout against")
     args = parser.parse_args(argv)
 
+    signal.signal(signal.SIGTERM, _raise_on_sigterm)
     spec = load_spec()
     with tempfile.TemporaryDirectory(prefix="perf-gate-") as scratch:
         base_checkout = Path(scratch) / "base"

@@ -7,6 +7,9 @@ CI's end-to-end proof of the multi-process serve path:
 * a job submitted on one connection must succeed even though any
   replica may claim it from the shared directory store, and its
   result must be readable from whichever worker answers the poll;
+* a synchronous ``POST /v1/analyze`` must answer 200 with a report:
+  it runs as an attached job on the replica holding the connection,
+  never through the shared queue, and leaves no job record behind;
 * SIGTERM must drain both workers and exit 0.
 
 Usage (from the repo root):
@@ -30,14 +33,16 @@ PORT = int(os.environ.get("SMOKE_PORT", "8971"))
 BASE = f"http://127.0.0.1:{PORT}/v1"
 
 
-def req(method: str, path: str, data: bytes | None = None) -> dict:
+def req(
+    method: str, path: str, data: bytes | None = None, timeout: float = 10
+) -> dict:
     request = urllib.request.Request(
         BASE + path,
         data=data,
         headers={"Content-Type": "application/json"},
         method=method,
     )
-    with urllib.request.urlopen(request, timeout=10) as resp:
+    with urllib.request.urlopen(request, timeout=timeout) as resp:
         return json.loads(resp.read())
 
 
@@ -115,10 +120,21 @@ def main() -> None:
         assert report is not None, "result payload carries no report"
         print("score:", report.get("score"))
 
+        # urlopen raises on any non-2xx answer, so returning is the 200.
+        analysis = req("POST", "/analyze", body, timeout=240)
+        assert analysis.get("report") is not None, "sync answer has no report"
+        print("sync score:", analysis["report"].get("score"))
+        # The attached job's record is discarded once answered.
+        listed = [job["id"] for job in req("GET", "/jobs")["jobs"]]
+        assert listed == [job_id], f"job listing after sync call: {listed}"
+
         proc.send_signal(signal.SIGTERM)
         code = proc.wait(timeout=60)
         assert code == 0, f"drain exited with {code}"
-        print("scale-out smoke: OK (2 workers, shared queue, clean drain)")
+        print(
+            "scale-out smoke: OK (2 workers, shared queue, local sync "
+            "analysis, clean drain)"
+        )
     finally:
         if proc.poll() is None:
             proc.kill()

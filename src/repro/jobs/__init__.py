@@ -6,7 +6,10 @@ HTTP connection open for it is the wrong contract.  This package adds
 the asynchronous one: ``POST /v1/jobs`` answers **202 + a job id**
 immediately, the analysis runs on the service's shared bounded worker
 pool, and the client polls ``GET /v1/jobs/{id}`` (per-stage progress
-included) until the job is terminal, then fetches the result.
+included) until the job is terminal, then fetches the result.  The
+synchronous routes (``/v1/analyze``, ``/v1/analyze/batch``) run on the
+same machinery as *attached* jobs, whose client waits on the open
+connection instead of polling.
 
 Layout
 ------

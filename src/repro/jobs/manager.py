@@ -2,9 +2,11 @@
 
 :class:`JobManager` wires a :class:`~repro.jobs.store.JobStore` and a
 :class:`~repro.jobs.worker.JobWorkerPool` together behind one small
-API: submit, read, cancel, list.  It owns admission control (the
-``max_queued`` backpressure bound) but no HTTP concerns — status codes
-live in :mod:`repro.service`.
+API: submit, read, cancel, list.  It owns admission control — one
+rule, bounded by ``max_queued`` for *detached* jobs (the client polls)
+and by the pool width for *attached* ones (the client waits on its
+connection) — but no HTTP concerns: status codes live in
+:mod:`repro.service`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 import os
 import threading
 import uuid
-from typing import Any, Callable
+from concurrent.futures import Future
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator
 
 from .backends import SharedDirectoryBackend
 from .models import JobsConfig, JobState
@@ -85,6 +89,10 @@ class JobManager:
         self._drain_thread: threading.Thread | None = None
         self._drain_stop = threading.Event()
         self.claimed_count = 0  # jobs this replica claimed from the queue
+        self._pool_width = pool.max_workers  # bound on attached jobs
+        # Held from the admission check to the job's creation, so
+        # concurrent submissions cannot all pass one free slot.
+        self._admission_lock = threading.Lock()
         self.breaker = CircuitBreaker(
             threshold=config.breaker_threshold,
             cooldown_seconds=config.breaker_cooldown_seconds,
@@ -158,6 +166,63 @@ class JobManager:
         )
 
     # ------------------------------------------------------------------
+    @contextmanager
+    def _admitted(
+        self, bound: int, config_hash: str, local: bool = False
+    ) -> Iterator[None]:
+        """The one admission rule, for every kind of submission.
+
+        Raises :class:`JobQueueFull` when ``bound`` non-terminal jobs
+        already exist (``local``: on this replica), then lets the
+        circuit breaker refuse with :class:`~repro.errors.CircuitOpen`.
+        A refused submission creates nothing; an admitted one creates
+        its jobs inside the ``with`` block, under the same lock.
+        """
+        with self._admission_lock:
+            if self.store.pending_count(local=local) >= bound:
+                raise JobQueueFull(
+                    f"{bound} jobs already queued or running; retry later"
+                )
+            self.breaker.check(config_hash)
+            yield
+
+    def submit_attached(
+        self,
+        analyzer: Any,
+        items: list[dict[str, Any]],
+        config_hash: str = "",
+    ) -> list[tuple[str, Future]]:
+        """Admit one request whose client waits on its connection.
+
+        An attached request is admitted only while a worker of this
+        replica's pool is free (fewer non-terminal local jobs than the
+        pool width); then each of its ``items`` (``video``,
+        ``annotation``, ``seed``, ``digest``) becomes one job, run here
+        and never enqueued, spooled or checkpointed, since after a
+        crash nobody could collect it.  Returns ``(job_id, future)``
+        per item, in order.
+        """
+        job_ids = []
+        with self._admitted(self._pool_width, config_hash, local=True):
+            for item in items:
+                job_id = self.store.create(
+                    item["digest"], seed=item["seed"], config_hash=config_hash
+                )["id"]
+                if self.store.shared:
+                    self.store.adopt(job_id)  # local: counted from here on
+                job_ids.append(job_id)
+        submitted = []
+        for job_id, item in zip(job_ids, items):
+            future = self.workers.submit(
+                job_id,
+                analyzer,
+                item["video"],
+                annotation=item["annotation"],
+                seed=item["seed"],
+            )
+            submitted.append((job_id, future))
+        return submitted
+
     def submit_analysis(
         self,
         analyzer: Any,
@@ -167,21 +232,16 @@ class JobManager:
         digest: str = "",
         config_hash: str = "",
     ) -> dict[str, Any]:
-        """Admit one job and queue it; returns the submitted payload.
+        """Admit one detached job and queue it; returns its payload.
 
         Raises :class:`JobQueueFull` when ``max_queued`` non-terminal
         jobs already exist — the job is *not* created, so a rejected
         submission leaves no trace.
         """
-        if self.store.pending_count() >= self.config.max_queued:
-            raise JobQueueFull(
-                f"{self.config.max_queued} jobs already queued or running; "
-                "retry later"
+        with self._admitted(self.config.max_queued, config_hash):
+            payload = self.store.create(
+                digest or "0" * 10, seed=seed, config_hash=config_hash
             )
-        self.breaker.check(config_hash)
-        payload = self.store.create(
-            digest or "0" * 10, seed=seed, config_hash=config_hash
-        )
         self._spool_submission(
             payload["id"],
             "batch",
@@ -224,18 +284,13 @@ class JobManager:
         waits on the job's bounded frame queue; a producer that never
         sends ``eof`` fails the job after the configured idle timeout.
         """
-        if self.store.pending_count() >= self.config.max_queued:
-            raise JobQueueFull(
-                f"{self.config.max_queued} jobs already queued or running; "
-                "retry later"
+        with self._admitted(self.config.max_queued, config_hash):
+            payload = self.store.create(
+                digest or "0" * 10,
+                seed=seed,
+                config_hash=config_hash,
+                mode="stream",
             )
-        self.breaker.check(config_hash)
-        payload = self.store.create(
-            digest or "0" * 10,
-            seed=seed,
-            config_hash=config_hash,
-            mode="stream",
-        )
         if self.store.shared:
             # Streams always run on the replica holding the HTTP
             # connection (the frame queue lives here), so adopt the

@@ -259,11 +259,16 @@ class JobStore:
                 out[job.state] += 1
             return out
 
-    def pending_count(self) -> int:
-        """Jobs not yet terminal (queued + running)."""
+    def pending_count(self, local: bool = False) -> int:
+        """Jobs not yet terminal (queued + running).
+
+        ``local`` counts only the jobs this replica runs; without a
+        shared backend that is every job.
+        """
         with self._lock:
             self._evict_expired()
-            return sum(1 for job in self._visible_jobs() if not job.terminal)
+            jobs = self._jobs.values() if local else self._visible_jobs()
+            return sum(1 for job in jobs if not job.terminal)
 
     def queued_jobs(self) -> list[dict[str, Any]]:
         """Status payloads of every ``submitted`` job, oldest first.
@@ -500,6 +505,24 @@ class JobStore:
         with self._lock:
             job = self._jobs.get(job_id)
             return bool(job and job.cancel_requested)
+
+    def discard(self, job_id: str) -> dict[str, Any] | None:
+        """Remove a terminal job outright and return its final payload.
+
+        For records nobody will poll (attached jobs, whose client read
+        the answer on its own connection): unlike TTL or LRU eviction
+        the id is not remembered as expired.  Returns ``None`` (and
+        removes nothing) for unknown or non-terminal jobs.
+        """
+        with self._lock:
+            job = self._jobs.get(job_id)
+            if job is None or not job.terminal:
+                return None
+            del self._jobs[job_id]
+            if self.shared:
+                self._backend.remove_job(job_id)
+            self._save()
+            return job.to_dict(include_result=True)
 
     # ------------------------------------------------------------------
     # Eviction

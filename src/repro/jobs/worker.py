@@ -11,6 +11,7 @@ cooperative :class:`~repro.runtime.CancellationToken`, checked by the
 from __future__ import annotations
 
 import threading
+from concurrent.futures import Future
 from typing import Any, Callable
 
 import numpy as np
@@ -89,12 +90,17 @@ class JobWorkerPool:
         annotation: Any = None,
         seed: int = 0,
         checkpointer: Any = None,
-    ) -> None:
-        """Queue one job; returns immediately."""
+    ) -> Future:
+        """Queue one job; returns its pool future at once.
+
+        The future resolves (to ``None``) when :meth:`_run` returns, by
+        which time the job's record is terminal; a client waiting on it
+        reads the outcome from the store.
+        """
         token = CancellationToken()
         with self._lock:
             self._tokens[job_id] = token
-        self._pool.submit(
+        return self._pool.submit(
             self._run,
             job_id,
             analyzer,

@@ -1,11 +1,9 @@
-"""The bounded worker pool shared by every service execution path.
+"""The bounded worker pool every service analysis runs on.
 
-PR 4 replaced the service's thread-per-request model with one bounded
-``ThreadPoolExecutor``; this module promotes that pool into a small
-reusable abstraction so the synchronous ``/analyze`` path, the batch
-fan-out *and* the asynchronous job subsystem (:mod:`repro.jobs`) all
-draw from the same fixed set of workers — one knob
-(``ServiceConfig.pool_workers``) bounds the host's total analysis
+The service runs each analysis — synchronous, batch item or
+asynchronous job — as a job of :mod:`repro.jobs` on one fixed set of
+workers instead of a thread per request, so one knob
+(``ServiceConfig.max_concurrent``) bounds the host's total analysis
 parallelism no matter which API surface the work arrived through.
 """
 

@@ -4,7 +4,7 @@
 request runs the pipeline with its own per-run
 :class:`~repro.runtime.instrumentation.Instrumentation`, then folds the
 resulting :class:`~repro.runtime.trace.RunTrace` in here.  The
-``GET /metrics`` endpoint serves :meth:`MetricsRegistry.snapshot`.
+``GET /v1/metrics`` endpoint serves :meth:`MetricsRegistry.snapshot`.
 """
 
 from __future__ import annotations

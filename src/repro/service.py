@@ -7,10 +7,8 @@ respond with advices to the user."  This module implements that
 service over the library.
 
 The HTTP surface is versioned: every endpoint lives under ``/v1/``,
-and the original unversioned paths are served as deprecated aliases —
-same handler, same body, plus a ``Deprecation: true`` response header.
-The full route table (:data:`ROUTES`) is part of the public API and
-snapshot-tested.
+and any other path answers 404 ``not_found``.  The full route table
+(:data:`ROUTES`) is part of the public API and snapshot-tested.
 
 * ``POST /v1/analyze`` — body is a JSON object
   ``{"video_npz_b64": <base64 of a compressed .npz with a 'frames'
@@ -19,8 +17,8 @@ snapshot-tested.
   events, measurement).
 * ``POST /v1/analyze/batch`` — body is ``{"videos": [<analyze items>],
   "config"/"preset"/"seed": ...}``; all items share one resolved
-  analyzer, one concurrency slot and one deadline, and fan out across
-  the shared worker pool.
+  analyzer, one admission and one deadline, and fan out across the
+  shared worker pool.
 * ``POST /v1/jobs`` — the same body as ``/v1/analyze``, but the
   response is **202 Accepted** with a job id *before* the analysis
   runs.  The job executes on the shared worker pool; its per-stage
@@ -41,7 +39,7 @@ snapshot-tested.
   ``GET /v1/jobs/{id}/result`` / ``DELETE /v1/jobs/{id}`` — bounded
   listing, status+progress polling, result retrieval (structured 410
   after the result TTL), and cancellation.
-* ``GET /v1/health`` — liveness probe, with in-flight request count
+* ``GET /v1/health`` — liveness probe, with the in-flight job count
   and the last analysis error (if any).
 * ``GET /v1/standards`` — the Table 1 standards and Table 2 rules.
 * ``GET /v1/config`` — the server's fully-resolved default
@@ -57,19 +55,21 @@ Every non-2xx response carries one envelope::
                "detail": <structured context or null>}}
 
 Malformed requests map to 400, analysable-but-failing videos to 422,
-unexpected faults to 500.  The service is hardened against abuse and
-overload (:class:`ServiceConfig`): bodies over ``max_body_bytes`` are
-refused with 413 before the payload is read; more than
-``max_concurrent`` simultaneous analyses are refused with 503 +
-``Retry-After``; an analysis that exceeds ``deadline_seconds`` is
-answered with 504 (its worker keeps its concurrency slot until it
-actually finishes, so zombies cannot oversubscribe the host).  All
-analyses — synchronous, batch and jobs — share one bounded
-:class:`~repro.perf.pool.WorkerPool` (``pool_workers``), and
-per-request analyzers are served from an LRU cache keyed by config
-hash + execution backend (``analyzer_cache_size``).  Analyses that
-completed through the degradation machinery still return 200, with a
-top-level ``"degraded": true`` and a ``"degradation"`` block.
+unexpected faults to 500.  Every analysis is a job on the one
+:class:`~repro.jobs.JobManager`, which owns admission, the circuit
+breaker, the watchdog, cancellation and metrics.  ``/v1/analyze`` and
+``/v1/analyze/batch`` submit *attached* jobs (the client waits on its
+connection) and ``/v1/jobs`` *detached* ones.  The service is hardened
+against abuse and overload (:class:`ServiceConfig`): bodies over
+``max_body_bytes`` are refused with 413 before the payload is read;
+an attached request finding all ``max_concurrent`` pool workers taken
+is refused with 503 ``overloaded`` + ``Retry-After``; one that exceeds
+``deadline_seconds`` is answered with 504 and its unfinished jobs are
+cancelled at their next stage boundary.  Per-request analyzers are
+served from an LRU cache keyed by config hash + execution backend
+(``analyzer_cache_size``).  Analyses that completed through the
+degradation machinery still return 200, with a top-level
+``"degraded": true`` and a ``"degradation"`` block.
 
 Start a server with :func:`serve` (blocking) or
 :class:`ServiceHandle` (background thread, used by the tests and the
@@ -86,7 +86,7 @@ import signal
 import socket
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import CancelledError as FutureCancelled
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -108,16 +108,16 @@ from .jobs import (
     JobManager,
     JobQueueFull,
     JobsConfig,
+    JobState,
     JobStore,
 )
 from .perf.cache import AnalyzerCache
 from .perf.pool import WorkerPool
 from .pipeline import AnalyzerConfig, JumpAnalyzer
 from .resilience import ServiceLifecycle
-from .runtime import Instrumentation, MetricsRegistry
+from .runtime import MetricsRegistry
 from .profiles import profile_names
 from .serialization import (
-    analysis_payload,
     annotation_from_dict,
     profiles_payload,
     standards_payload,
@@ -127,9 +127,8 @@ from .video.sequence import VideoSequence
 #: The one API version this server speaks.
 API_VERSION = "v1"
 
-#: The complete HTTP surface, versioned.  Unversioned aliases of every
-#: route are also served, answering with a ``Deprecation: true``
-#: header.  Snapshot-tested in ``tests/test_api_surface.py``.
+#: The complete HTTP surface; any path outside ``/v1/`` is 404.
+#: Snapshot-tested in ``tests/test_api_surface.py``.
 ROUTES: tuple[tuple[str, str], ...] = (
     ("GET", "/v1/config"),
     ("GET", "/v1/health"),
@@ -160,25 +159,24 @@ class ServiceConfig:
 
     # Refuse request bodies larger than this (HTTP 413) before reading.
     max_body_bytes: int = 64 * 1024 * 1024
-    # Answer 504 when one analysis takes longer than this.
+    # Answer 504 (and cancel the unfinished jobs) when a synchronous
+    # request takes longer than this.
     deadline_seconds: float = 300.0
-    # Refuse analyses beyond this many in flight (HTTP 503).
+    # Width of the worker pool every analysis runs on; a synchronous
+    # request finding no free worker is refused (HTTP 503).
     max_concurrent: int = 4
     # Advisory Retry-After header on 503 responses.
     retry_after_seconds: int = 5
-    # Analyses share a bounded worker pool (no thread-per-request); 0
-    # sizes it to ``max_concurrent`` so every admitted request starts
-    # immediately.
-    pool_workers: int = 0
     # LRU capacity of the per-request analyzer cache (distinct resolved
     # configs kept warm).
     analyzer_cache_size: int = 8
-    # Upper bound on videos in one ``POST /analyze/batch`` request.
+    # Upper bound on videos in one ``POST /v1/analyze/batch`` request.
     max_batch_videos: int = 16
     # How long a graceful stop waits for in-flight work before
     # cancelling what is still queued (``stop(drain=True)`` / SIGTERM).
     drain_timeout_seconds: float = 30.0
-    # The asynchronous job subsystem (``/v1/jobs``).
+    # The job subsystem every analysis runs on; ``jobs.enabled`` gates
+    # only the ``/v1/jobs`` endpoints.
     jobs: JobsConfig = field(default_factory=JobsConfig)
 
     def __post_init__(self) -> None:
@@ -192,10 +190,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 "service retry_after_seconds must be >= 0"
             )
-        if self.pool_workers < 0:
-            raise ConfigurationError(
-                "service pool_workers must be >= 0 (0 = max_concurrent)"
-            )
         if self.analyzer_cache_size < 1:
             raise ConfigurationError("service analyzer_cache_size must be >= 1")
         if self.max_batch_videos < 1:
@@ -205,38 +199,23 @@ class ServiceConfig:
                 "service drain_timeout_seconds must be >= 0"
             )
 
-    @property
-    def effective_pool_workers(self) -> int:
-        """The worker-pool size actually used."""
-        return self.pool_workers or self.max_concurrent
-
 
 class _ServiceState:
-    """Mutable, lock-guarded liveness info shared by all handlers."""
+    """The last analysis error, shared by all handlers for ``/health``."""
 
-    __slots__ = ("_lock", "in_flight", "last_error")
+    __slots__ = ("_lock", "_last_error")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.in_flight = 0
-        self.last_error: dict[str, Any] | None = None
-
-    def enter(self) -> None:
-        with self._lock:
-            self.in_flight += 1
-
-    def leave(self) -> None:
-        with self._lock:
-            self.in_flight -= 1
+        self._last_error: dict[str, Any] | None = None
 
     def record_error(self, error_type: str, message: str) -> None:
         with self._lock:
-            self.last_error = {"type": error_type, "message": message}
+            self._last_error = {"type": error_type, "message": message}
 
-    def snapshot(self) -> dict[str, Any]:
+    def last_error(self) -> dict[str, Any] | None:
         with self._lock:
-            last = dict(self.last_error) if self.last_error else None
-            return {"in_flight": self.in_flight, "last_error": last}
+            return dict(self._last_error) if self._last_error else None
 
 
 def encode_video(video: VideoSequence) -> str:
@@ -274,32 +253,57 @@ class _BadRequest(Exception):
         self.detail = detail
 
 
+#: How an attached job's recorded error type answers; every other type
+#: (each ``ReproError``, ``CancelledError`` included) is 422.
+_JOB_ERROR_STATUS = {
+    "InternalError": (500, "internal_error"),
+    "WatchdogTimeout": (504, "deadline_exceeded"),
+}
+
+
+def _job_outcome(job: dict[str, Any] | None) -> tuple[int, dict[str, Any]]:
+    """HTTP status and body of an attached job's terminal payload.
+
+    200 carries the analysis; any other status carries the error body
+    (``type``, ``message``, ``detail``).
+    """
+    if job is not None and job["state"] == JobState.SUCCEEDED:
+        return 200, job["result"]
+    error = (job or {}).get("error") or {
+        "type": "InternalError",
+        "message": "the job's record was gone before its outcome was read",
+    }
+    status, error_type = _JOB_ERROR_STATUS.get(
+        error["type"], (422, "analysis_failed")
+    )
+    return status, {
+        "type": error_type,
+        "message": error["message"],
+        "detail": error.get("detail"),
+    }
+
+
+def _item_digest(item: dict[str, Any], resolved_hash: str) -> str:
+    """The content digest that ends a submitted video's job id."""
+    return JobStore.digest_of(item["b64"], str(item["seed"]), resolved_hash)
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Request handler bound to one analyzer instance via the server."""
 
     server_version = "slj/1.0"
 
-    # Set per-request by _route(): True when the client used an
-    # unversioned (deprecated) alias path.
-    _deprecated = False
-
     def _route(self) -> str:
-        """Normalise the request path to its unversioned core.
+        """The request path below ``/v1``; any other path is a 404.
 
-        ``/v1/...`` is the canonical surface; any other prefix is the
-        legacy alias and flags the response as deprecated.  The query
-        string is parsed into ``self._query``.
+        The query string is parsed into ``self._query``.
         """
         parts = urlsplit(self.path)
         self._query = parse_qs(parts.query)
-        path = parts.path
         prefix = f"/{API_VERSION}"
-        if path == prefix or path.startswith(prefix + "/"):
-            self._deprecated = False
-            path = path[len(prefix):] or "/"
-        else:
-            self._deprecated = True
-        return path
+        if parts.path == prefix or parts.path.startswith(prefix + "/"):
+            return parts.path[len(prefix):] or "/"
+        raise _BadRequest("not_found", f"unknown path {self.path!r}", status=404)
 
     def _send_json(
         self,
@@ -311,8 +315,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        if self._deprecated:
-            self.send_header("Deprecation", "true")
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
@@ -361,8 +363,8 @@ class _Handler(BaseHTTPRequestHandler):
     # GET
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        path = self._route()
         try:
+            path = self._route()
             if path == "/health":
                 self._handle_health()
             elif path == "/standards":
@@ -399,6 +401,23 @@ class _Handler(BaseHTTPRequestHandler):
     def _lifecycle(self) -> ServiceLifecycle:
         return self.server.lifecycle  # type: ignore[attr-defined]
 
+    def _retry_later(
+        self, error_type: str, message: str, status: int = 503
+    ) -> _BadRequest:
+        """A refusal carrying the configured ``Retry-After`` header."""
+        seconds = self.server.service_config.retry_after_seconds  # type: ignore[attr-defined]
+        return _BadRequest(
+            error_type, message, status=status, headers={"Retry-After": str(seconds)}
+        )
+
+    def _draining(self) -> _BadRequest:
+        """The 503 a submission gets while the service shuts down."""
+        return self._retry_later(
+            "draining",
+            "the service is shutting down and no longer accepts new "
+            "work; retry against another instance or after restart",
+        )
+
     def _check_not_draining(self) -> None:
         """Refuse new work while the service drains (HTTP 503).
 
@@ -406,19 +425,14 @@ class _Handler(BaseHTTPRequestHandler):
         pushes and ``eof`` for already-admitted streams keep working so
         in-flight jobs can finish.
         """
-        if not self._lifecycle().draining:
-            return
-        service_config: ServiceConfig = self.server.service_config  # type: ignore[attr-defined]
-        raise _BadRequest(
-            "draining",
-            "the service is shutting down and no longer accepts new "
-            "work; retry against another instance or after restart",
-            status=503,
-            headers={"Retry-After": str(service_config.retry_after_seconds)},
-        )
+        if self._lifecycle().draining:
+            raise self._draining()
+
+    def _in_flight(self) -> int:
+        """Non-terminal jobs on this replica: what its pool is working on."""
+        return self.server.jobs.store.pending_count(local=True)  # type: ignore[attr-defined]
 
     def _handle_health(self) -> None:
-        state = self.server.state.snapshot()  # type: ignore[attr-defined]
         service_config = self.server.service_config  # type: ignore[attr-defined]
         lifecycle = self._lifecycle()
         draining = lifecycle.draining
@@ -429,9 +443,9 @@ class _Handler(BaseHTTPRequestHandler):
                 "shutting_down": draining,
                 "pid": os.getpid(),
                 "uptime_seconds": lifecycle.uptime_seconds(),
-                "in_flight": state["in_flight"],
+                "in_flight": self._in_flight(),
                 "max_concurrent": service_config.max_concurrent,
-                "last_error": state["last_error"],
+                "last_error": self.server.state.last_error(),  # type: ignore[attr-defined]
             },
         )
         self._finish(200)
@@ -468,9 +482,8 @@ class _Handler(BaseHTTPRequestHandler):
         snapshot["analyzer_cache"] = (
             self.server.analyzer_cache.stats()  # type: ignore[attr-defined]
         )
-        state = self.server.state.snapshot()  # type: ignore[attr-defined]
         pool_stats = self.server.pool.stats()  # type: ignore[attr-defined]
-        pool_stats["in_flight"] = state["in_flight"]
+        pool_stats["in_flight"] = self._in_flight()
         snapshot["pool"] = pool_stats
         jobs: JobManager = self.server.jobs  # type: ignore[attr-defined]
         job_stats = jobs.stats()
@@ -580,7 +593,6 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle_jobs_submit(self) -> None:
         manager = self._jobs_manager()
         self._check_not_draining()
-        service_config: ServiceConfig = self.server.service_config  # type: ignore[attr-defined]
         metrics: MetricsRegistry = self.server.metrics  # type: ignore[attr-defined]
         request = self._read_json_body()
         mode = request.get("mode", "batch")
@@ -594,32 +606,20 @@ class _Handler(BaseHTTPRequestHandler):
         parsed = self._parse_video_item(request)
         analyzer = self._resolve_analyzer(self._parse_config_block(request))
         resolved_hash = config_hash(config_to_dict(analyzer.config))
-        digest = JobStore.digest_of(
-            str(request.get("video_npz_b64", "")),
-            str(parsed["seed"]),
-            resolved_hash,
-        )
         try:
             payload = manager.submit_analysis(
                 analyzer,
                 parsed["video"],
                 annotation=parsed["annotation"],
                 seed=parsed["seed"],
-                digest=digest,
+                digest=_item_digest(parsed, resolved_hash),
                 config_hash=resolved_hash,
             )
         except CircuitOpen as exc:
             raise self._circuit_open(exc)
         except JobQueueFull as exc:
             metrics.increment("service.jobs.rejected")
-            raise _BadRequest(
-                "jobs_queue_full",
-                str(exc),
-                status=503,
-                headers={
-                    "Retry-After": str(service_config.retry_after_seconds)
-                },
-            )
+            raise self._retry_later("jobs_queue_full", str(exc))
         metrics.increment("service.jobs.submitted")
         self._send_json(
             202,
@@ -632,7 +632,6 @@ class _Handler(BaseHTTPRequestHandler):
         self, manager: JobManager, request: dict[str, Any]
     ) -> None:
         """``POST /v1/jobs`` with ``"mode": "stream"``: open a stream job."""
-        service_config: ServiceConfig = self.server.service_config  # type: ignore[attr-defined]
         metrics: MetricsRegistry = self.server.metrics  # type: ignore[attr-defined]
         try:
             annotation = (
@@ -661,14 +660,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise self._circuit_open(exc)
         except JobQueueFull as exc:
             metrics.increment("service.jobs.rejected")
-            raise _BadRequest(
-                "jobs_queue_full",
-                str(exc),
-                status=503,
-                headers={
-                    "Retry-After": str(service_config.retry_after_seconds)
-                },
-            )
+            raise self._retry_later("jobs_queue_full", str(exc))
         metrics.increment("service.jobs.submitted")
         metrics.increment("service.jobs.streams")
         self._send_json(
@@ -706,7 +698,6 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle_job_frames(self, job_id: str) -> None:
         """``POST /v1/jobs/{id}/frames``: append a chunk to a stream job."""
         manager = self._jobs_manager()
-        service_config: ServiceConfig = self.server.service_config  # type: ignore[attr-defined]
         metrics: MetricsRegistry = self.server.metrics  # type: ignore[attr-defined]
         self._stream_job(manager, job_id)
         request = self._read_json_body()
@@ -724,14 +715,7 @@ class _Handler(BaseHTTPRequestHandler):
             result = manager.push_frames(job_id, frames)
         except FrameQueueFull as exc:
             metrics.increment("service.jobs.frames_rejected")
-            raise _BadRequest(
-                "frame_queue_full",
-                str(exc),
-                status=429,
-                headers={
-                    "Retry-After": str(service_config.retry_after_seconds)
-                },
-            )
+            raise self._retry_later("frame_queue_full", str(exc), status=429)
         except StreamError as exc:
             raise _BadRequest("stream_closed", str(exc), status=409)
         metrics.increment("service.jobs.frames", len(frames))
@@ -826,10 +810,10 @@ class _Handler(BaseHTTPRequestHandler):
     def _resolve_analyzer(self, config: AnalyzerConfig | None) -> JumpAnalyzer:
         """The shared analyzer, or a cached per-config one.
 
-        Built before any concurrency slot is taken: JumpAnalyzer
-        performs validation beyond AnalyzerConfig.from_dict (e.g.
-        robustness stage names), and a failure must be a structured
-        400, never a leaked gate slot.
+        Built before any job is admitted: JumpAnalyzer performs
+        validation beyond AnalyzerConfig.from_dict (e.g. robustness
+        stage names), and a failure must be a structured 400 that
+        creates no job.
         """
         if config is None:
             return self.server.analyzer  # type: ignore[attr-defined]
@@ -864,15 +848,12 @@ class _Handler(BaseHTTPRequestHandler):
             seed = int(item.get("seed", default_seed))
         except (TypeError, ValueError) as exc:
             raise _BadRequest("bad_seed", f"seed must be an integer: {exc}")
-        return {"video": video, "annotation": annotation, "seed": seed}
-
-    def _parse_analyze_request(self) -> dict[str, Any]:
-        """Decode and validate the /analyze body; :class:`_BadRequest` on error."""
-        request = self._read_json_body()
-        parsed = self._parse_video_item(request)
-        config = self._parse_config_block(request)
-        parsed["analyzer"] = self._resolve_analyzer(config)
-        return parsed
+        return {
+            "video": video,
+            "annotation": annotation,
+            "seed": seed,
+            "b64": item["video_npz_b64"],
+        }
 
     def _parse_config_block(
         self, request: dict[str, Any]
@@ -928,35 +909,12 @@ class _Handler(BaseHTTPRequestHandler):
         except ConfigurationError as exc:
             raise _BadRequest("bad_config", str(exc))
 
-    def _analysis_payload(self, analysis: Any) -> dict[str, Any]:
-        """Serialise one successful analysis and record its trace."""
-        self.server.metrics.observe_trace(  # type: ignore[attr-defined]
-            analysis.trace
-        )
-        return analysis_payload(analysis)
-
-    def _try_acquire_gate(self) -> bool:
-        """One concurrency slot, or a 503 response already sent."""
-        service_config: ServiceConfig = self.server.service_config  # type: ignore[attr-defined]
-        gate: threading.BoundedSemaphore = self.server.gate  # type: ignore[attr-defined]
-        if gate.acquire(blocking=False):
-            return True
-        self._send_error_json(
-            503,
-            "overloaded",
-            f"{service_config.max_concurrent} analyses already in "
-            "flight; retry later",
-            headers={"Retry-After": str(service_config.retry_after_seconds)},
-        )
-        self._finish(503)
-        return False
-
     # ------------------------------------------------------------------
     # POST / DELETE
     # ------------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        path = self._route()
         try:
+            path = self._route()
             if path == "/analyze":
                 self._handle_analyze()
             elif path == "/analyze/batch":
@@ -981,8 +939,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_bad_request(exc)
 
     def do_DELETE(self) -> None:  # noqa: N802 (http.server API)
-        path = self._route()
         try:
+            path = self._route()
             if path.startswith("/jobs/"):
                 job_id = path[len("/jobs/"):]
                 if not job_id or "/" in job_id:
@@ -997,91 +955,82 @@ class _Handler(BaseHTTPRequestHandler):
         except _BadRequest as exc:
             self._send_bad_request(exc)
 
-    def _handle_analyze(self) -> None:
-        self._check_not_draining()
-        request = self._parse_analyze_request()
+    def _run_attached(
+        self, analyzer: Any, items: list[dict[str, Any]], what: str
+    ) -> list[dict[str, Any] | None]:
+        """Run ``items`` as attached jobs and wait under one deadline.
 
+        Returns each item's terminal job payload (result included), in
+        order, and discards the records: the client reads the outcome
+        on this connection, so nobody polls for it.  On the deadline
+        every unfinished job is cancelled (it stops at its next stage
+        boundary and its record stays until TTL) and the request is
+        answered 504.
+        """
+        manager: JobManager = self.server.jobs  # type: ignore[attr-defined]
         service_config: ServiceConfig = self.server.service_config  # type: ignore[attr-defined]
-        state: _ServiceState = self.server.state  # type: ignore[attr-defined]
-        gate: threading.BoundedSemaphore = self.server.gate  # type: ignore[attr-defined]
-        pool: WorkerPool = self.server.pool  # type: ignore[attr-defined]
-        if not self._try_acquire_gate():
-            return
-
-        instrumentation = Instrumentation()
-        analyzer = request["analyzer"]
-
-        # Run the analysis on the shared worker pool so the handler can
-        # enforce the deadline without a thread per request.  The worker
-        # owns the concurrency slot: on timeout a zombie analysis keeps
-        # it until it actually finishes, so the gate keeps bounding real
-        # load.
-        result: dict[str, Any] = {}
-        state.enter()
-
-        def work() -> None:
-            try:
-                result["analysis"] = analyzer.analyze(
-                    request["video"],
-                    annotation=request["annotation"],
-                    rng=np.random.default_rng(request["seed"]),
-                    instrumentation=instrumentation,
-                )
-            except BaseException as exc:  # delivered to the handler
-                result["error"] = exc
-            finally:
-                state.leave()
-                gate.release()
-
-        future: Future[None] = pool.submit(work)
+        resolved_hash = config_hash(config_to_dict(analyzer.config))
+        for item in items:
+            item["digest"] = _item_digest(item, resolved_hash)
         try:
-            future.result(timeout=service_config.deadline_seconds)
+            submitted = manager.submit_attached(
+                analyzer, items, config_hash=resolved_hash
+            )
+        except CircuitOpen as exc:
+            raise self._circuit_open(exc)
+        except JobQueueFull:
+            raise self._retry_later(
+                "overloaded",
+                f"{service_config.max_concurrent} analyses already in "
+                "flight; retry later",
+            )
+        deadline = time.monotonic() + service_config.deadline_seconds
+        try:
+            for _, future in submitted:
+                future.result(timeout=max(0.0, deadline - time.monotonic()))
         except FutureTimeout:
-            # If the work never started (pool saturated by zombies) the
-            # cancel succeeds and its finally never runs — release the
-            # slot here.  Otherwise the running worker keeps the slot.
-            if future.cancel():
-                state.leave()
-                gate.release()
+            for job_id, future in submitted:
+                if future.done():
+                    manager.store.discard(job_id)
+                else:
+                    manager.cancel(job_id)
             message = (
-                "analysis exceeded the "
+                f"{what} exceeded the "
                 f"{service_config.deadline_seconds:g}s deadline"
             )
-            state.record_error("deadline_exceeded", message)
-            self._send_error_json(504, "deadline_exceeded", message)
-            self._finish(504)
-            return
-        error = result.get("error")
-        if isinstance(error, ReproError):
-            state.record_error("analysis_failed", str(error))
-            self._send_error_json(422, "analysis_failed", str(error))
-            self._finish(422)
-            return
-        if error is not None:  # never leave the client hanging
-            state.record_error("internal_error", str(error))
-            self._send_error_json(500, "internal_error", str(error))
-            self._finish(500)
-            return
+            self.server.state.record_error("deadline_exceeded", message)  # type: ignore[attr-defined]
+            raise _BadRequest("deadline_exceeded", message, status=504)
+        except FutureCancelled:  # the pool shut down under a queued job
+            raise self._draining()
+        return [manager.store.discard(job_id) for job_id, _ in submitted]
 
-        self._send_json(200, self._analysis_payload(result["analysis"]))
+    def _handle_analyze(self) -> None:
+        self._check_not_draining()
+        request = self._read_json_body()
+        item = self._parse_video_item(request)
+        analyzer = self._resolve_analyzer(self._parse_config_block(request))
+        (job,) = self._run_attached(analyzer, [item], "analysis")
+        status, body = _job_outcome(job)
+        if status != 200:
+            self.server.state.record_error(body["type"], body["message"])  # type: ignore[attr-defined]
+            raise _BadRequest(
+                body["type"], body["message"], status=status, detail=body["detail"]
+            )
+        self._send_json(200, body)
         self._finish(200)
 
     def _handle_analyze_batch(self) -> None:
-        """``POST /analyze/batch``: many videos, one concurrency slot.
+        """``POST /v1/analyze/batch``: many videos, one admission.
 
         The request is ``{"videos": [{video_npz_b64, annotation?,
         seed?}, ...], "config"?: ..., "preset"?: ..., "seed"?: int}``.
-        All items share one resolved analyzer and fan out across the
-        worker pool; the whole batch occupies a single gate slot and a
-        single shared deadline.  The response is 200 with per-item
-        ``{"ok": true, "analysis": ...}`` / ``{"ok": false, "error":
-        ...}`` entries in request order.
+        All items share one resolved analyzer, one admission and one
+        deadline, and run as attached jobs across the worker pool.  The
+        response is 200 with per-item ``{"ok": true, "analysis": ...}``
+        / ``{"ok": false, "error": ...}`` entries in request order.
         """
         self._check_not_draining()
         service_config: ServiceConfig = self.server.service_config  # type: ignore[attr-defined]
-        state: _ServiceState = self.server.state  # type: ignore[attr-defined]
-        gate: threading.BoundedSemaphore = self.server.gate  # type: ignore[attr-defined]
-        pool: WorkerPool = self.server.pool  # type: ignore[attr-defined]
         request = self._read_json_body()
         videos = request.get("videos")
         if not isinstance(videos, list) or not videos:
@@ -1116,88 +1065,14 @@ class _Handler(BaseHTTPRequestHandler):
                     detail=exc.detail,
                 )
         analyzer = self._resolve_analyzer(self._parse_config_block(request))
-
-        if not self._try_acquire_gate():
-            return
-
-        # One slot for the whole batch.  Every item future — completed
-        # or cancelled — fires the done-callback, and the last one to
-        # finish releases the slot, so a post-timeout zombie item keeps
-        # the batch's slot occupied until it actually ends.
-        state.enter()
-        remaining = [len(items)]
-        countdown_lock = threading.Lock()
-
-        def on_done(_future: Future) -> None:
-            with countdown_lock:
-                remaining[0] -= 1
-                last = remaining[0] == 0
-            if last:
-                state.leave()
-                gate.release()
-
-        def run_item(item: dict[str, Any], index: int) -> dict[str, Any]:
-            try:
-                analysis = analyzer.analyze(
-                    item["video"],
-                    annotation=item["annotation"],
-                    rng=np.random.default_rng(item["seed"]),
-                    instrumentation=Instrumentation(),
-                )
-            except ReproError as exc:
-                return {
-                    "ok": False,
-                    "index": index,
-                    "error": {
-                        "type": "analysis_failed",
-                        "message": str(exc),
-                        "detail": None,
-                    },
-                }
-            except Exception as exc:
-                return {
-                    "ok": False,
-                    "index": index,
-                    "error": {
-                        "type": "internal_error",
-                        "message": str(exc),
-                        "detail": None,
-                    },
-                }
-            return {
-                "ok": True,
-                "index": index,
-                "analysis": self._analysis_payload(analysis),
-            }
-
-        futures: list[Future[dict[str, Any]]] = []
-        for index, item in enumerate(items):
-            future = pool.submit(run_item, item, index)
-            future.add_done_callback(on_done)
-            futures.append(future)
-
-        deadline = time.monotonic() + service_config.deadline_seconds
         results: list[dict[str, Any]] = []
-        for future in futures:
-            try:
-                results.append(
-                    future.result(timeout=max(0.0, deadline - time.monotonic()))
-                )
-            except FutureTimeout:
-                for pending in futures:
-                    pending.cancel()
-                message = (
-                    f"batch exceeded the "
-                    f"{service_config.deadline_seconds:g}s deadline"
-                )
-                state.record_error("deadline_exceeded", message)
-                self._send_error_json(504, "deadline_exceeded", message)
-                self._finish(504)
-                return
-
+        for index, job in enumerate(self._run_attached(analyzer, items, "batch")):
+            status, body = _job_outcome(job)
+            key = "analysis" if status == 200 else "error"
+            results.append({"ok": status == 200, "index": index, key: body})
         failed = sum(1 for entry in results if not entry["ok"])
         if failed:
-            state.record_error(
+            self.server.state.record_error(  # type: ignore[attr-defined]
                 "analysis_failed", f"{failed}/{len(results)} batch items failed"
             )
         self._send_json(
@@ -1254,19 +1129,15 @@ class ServiceHandle:
         self._server.metrics = MetricsRegistry()  # type: ignore[attr-defined]
         self._server.service_config = service_config  # type: ignore[attr-defined]
         self._server.state = _ServiceState()  # type: ignore[attr-defined]
-        self._server.gate = threading.BoundedSemaphore(  # type: ignore[attr-defined]
-            service_config.max_concurrent
-        )
         # Per-config analyzers are cached so repeated custom-config
         # requests skip re-validating and re-building the whole stack.
         self._server.analyzer_cache = AnalyzerCache(  # type: ignore[attr-defined]
             JumpAnalyzer, capacity=service_config.analyzer_cache_size
         )
-        # All analyses (single, batch items, and jobs) share one
-        # bounded pool instead of a thread per request.
+        # Every analysis is a job on one bounded pool, never a thread
+        # per request.
         self._server.pool = WorkerPool(  # type: ignore[attr-defined]
-            service_config.effective_pool_workers,
-            thread_name_prefix="slj-worker",
+            service_config.max_concurrent, thread_name_prefix="slj-worker"
         )
         self._server.jobs = JobManager(  # type: ignore[attr-defined]
             service_config.jobs,
@@ -1339,16 +1210,10 @@ class ServiceHandle:
         lifecycle.begin_drain()
         if timeout is None:
             timeout = self._server.service_config.drain_timeout_seconds  # type: ignore[attr-defined]
-        state: _ServiceState = self._server.state  # type: ignore[attr-defined]
         jobs: JobManager = self._server.jobs  # type: ignore[attr-defined]
-
-        def is_idle() -> bool:
-            return (
-                state.snapshot()["in_flight"] == 0
-                and not jobs.store.running_jobs()
-            )
-
-        return lifecycle.wait_drained(is_idle, timeout)
+        return lifecycle.wait_drained(
+            lambda: not jobs.store.running_jobs(), timeout
+        )
 
     def stop(self, drain: bool = False, drain_timeout: float | None = None) -> None:
         """Shut the server down and join its thread.

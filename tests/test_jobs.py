@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -166,6 +167,19 @@ class TestJobStore:
         assert store.is_expired(job_id)
         assert not store.is_expired("never-existed")
 
+    def test_discard_removes_only_terminal_jobs_and_forgets_them(self):
+        store = JobStore(capacity=4)
+        job_id = store.create("d" * 10)["id"]
+        store.mark_running(job_id)
+        assert store.discard(job_id) is None  # still running: kept
+        store.finish(job_id, JobState.SUCCEEDED, result={"x": 1})
+        final = store.discard(job_id)
+        assert final["state"] == JobState.SUCCEEDED
+        assert final["result"] == {"x": 1}
+        assert store.payload(job_id) is None
+        assert not store.is_expired(job_id)  # a 404, not a 410
+        assert store.discard(job_id) is None
+
     def test_listing_is_newest_first_and_bounded(self):
         store = JobStore(capacity=16)
         ids = [store.create(f"{i:010d}")["id"] for i in range(5)]
@@ -320,10 +334,50 @@ class TestJobWorkerPool:
         finally:
             pool.shutdown()
 
+    def test_attached_admission_is_atomic(self):
+        """Of many simultaneous attached submissions, exactly as many as
+        the pool has workers are admitted: the free-worker check and
+        the job's creation happen under one lock."""
+        pool, manager = self._manager()
+        barrier = threading.Event()
+        analyzer = StubAnalyzer(barrier=barrier)
+        count = manager.store.pending_count
+
+        def slow_count(**kwargs):
+            pending = count(**kwargs)
+            time.sleep(0.01)  # widen the window between check and create
+            return pending
+
+        manager.store.pending_count = slow_count
+        start = threading.Barrier(8)
+        admitted, refused = [], []
+
+        def submit(index):
+            item = {"video": None, "annotation": None, "seed": index,
+                    "digest": f"{index:010d}"}
+            start.wait(timeout=10)
+            try:
+                admitted.append(manager.submit_attached(analyzer, [item]))
+            except JobQueueFull:
+                refused.append(index)
+
+        threads = [
+            threading.Thread(target=submit, args=(index,)) for index in range(8)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            barrier.set()
+            pool.shutdown()
+        assert len(admitted) == pool.max_workers
+        assert len(refused) == 8 - pool.max_workers
+
     @staticmethod
     def _wait_terminal(manager, job_id, timeout=10.0):
-        import time
-
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             if manager.payload(job_id)["state"] in JobState.TERMINAL:

@@ -264,7 +264,7 @@ class TestStreamingMulti:
 
 
 class TestServiceTracks:
-    def test_analyze_returns_tracks_on_both_surfaces(self, short_jump):
+    def test_analyze_returns_tracks(self, short_jump):
         from repro.service import ServiceHandle, encode_video
 
         config = AnalyzerConfig(
@@ -277,24 +277,15 @@ class TestServiceTracks:
             {"video_npz_b64": encode_video(short_jump.video), "seed": 1}
         ).encode()
 
-        def post(address, path):
+        with ServiceHandle(config=config) as handle:
             request = urllib.request.Request(
-                address + path,
+                handle.address + "/v1/analyze",
                 data=body,
                 headers={"Content-Type": "application/json"},
                 method="POST",
             )
             with urllib.request.urlopen(request, timeout=60) as response:
-                return json.loads(response.read())
-
-        with ServiceHandle(config=config) as handle:
-            v1 = post(handle.address, "/v1/analyze")
-            alias = post(handle.address, "/analyze")
+                v1 = json.loads(response.read())
         assert isinstance(v1["tracks"], list) and len(v1["tracks"]) == 1
         assert v1["tracks"][0]["track_id"] == "t0"
         assert v1["tracks"][0]["report"]["score"] is not None
-        # Deterministic seed: the deprecated alias answers the same
-        # body (trace carries wall-clock timings, so compare shape).
-        assert set(alias["trace"]) == set(v1["trace"])
-        alias.pop("trace"), v1.pop("trace")
-        assert alias == v1

@@ -9,7 +9,11 @@ from __future__ import annotations
 import copy
 import importlib.util
 import json
+import os
+import signal
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("perf_gate", ROOT / "scripts" / "perf_gate.py")
@@ -135,3 +139,23 @@ def test_pairs_alternate_which_side_runs_first(monkeypatch):
     for index in range(gate.PAIRS):
         expected += [base, gate.ROOT] if index % 2 == 0 else [gate.ROOT, base]
     assert order == expected
+
+
+def test_sigterm_becomes_system_exit_143(monkeypatch):
+    """A SIGTERM during a gate run unwinds through ``finally`` blocks.
+
+    ``load_spec`` runs before any worktree is made, so the signal is
+    sent from there: no perfbench starts and no worktree is created.
+    """
+    def terminated():
+        os.kill(os.getpid(), signal.SIGTERM)
+        raise AssertionError("SIGTERM did not interrupt the gate")
+
+    monkeypatch.setattr(gate, "load_spec", terminated)
+    previous = signal.getsignal(signal.SIGTERM)
+    try:
+        with pytest.raises(SystemExit) as excinfo:
+            gate.main(["--base", "HEAD"])
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert excinfo.value.code == 143

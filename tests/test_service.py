@@ -64,7 +64,7 @@ class TestCodec:
 
 class TestEndpoints:
     def test_health(self, service):
-        status, payload = _get(f"{service.address}/health")
+        status, payload = _get(f"{service.address}/v1/health")
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["in_flight"] == 0
@@ -72,7 +72,7 @@ class TestEndpoints:
         assert payload["last_error"] is None
 
     def test_standards(self, service):
-        status, payload = _get(f"{service.address}/standards")
+        status, payload = _get(f"{service.address}/v1/standards")
         assert status == 200
         assert len(payload["standards"]) == 7
         assert len(payload["rules"]) == 7
@@ -102,7 +102,7 @@ class TestEndpoints:
 
     def test_analyze_bad_payload(self, service):
         request = urllib.request.Request(
-            f"{service.address}/analyze",
+            f"{service.address}/v1/analyze",
             data=json.dumps({"video_npz_b64": "###"}).encode(),
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -113,7 +113,7 @@ class TestEndpoints:
 
     def test_analyze_missing_video(self, service):
         request = urllib.request.Request(
-            f"{service.address}/analyze",
+            f"{service.address}/v1/analyze",
             data=b"{}",
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -127,7 +127,7 @@ class TestProfilesAPI:
     """The profile-aware v1 surface: listing, selection, rejection."""
 
     def test_get_profiles(self, service):
-        status, payload = _get(f"{service.address}/profiles")
+        status, payload = _get(f"{service.address}/v1/profiles")
         assert status == 200
         names = [p["name"] for p in payload["profiles"]]
         assert names == ["standing_long_jump", "sit_to_stand"]
@@ -146,7 +146,7 @@ class TestProfilesAPI:
 
     def test_unknown_profile_is_structured_400(self, service, jump):
         request = urllib.request.Request(
-            f"{service.address}/analyze",
+            f"{service.address}/v1/analyze",
             data=json.dumps(
                 {"video_npz_b64": encode_video(jump.video), "profile": "backflip"}
             ).encode(),
@@ -165,7 +165,7 @@ class TestProfilesAPI:
 
     def test_non_string_profile_is_bad_config(self, service, jump):
         request = urllib.request.Request(
-            f"{service.address}/analyze",
+            f"{service.address}/v1/analyze",
             data=json.dumps(
                 {"video_npz_b64": encode_video(jump.video), "profile": 7}
             ).encode(),

@@ -52,7 +52,7 @@ def service(default_config):
 
 def _post(service, body: dict) -> urllib.request.Request:
     return urllib.request.Request(
-        f"{service.address}/analyze",
+        f"{service.address}/v1/analyze",
         data=json.dumps(body).encode(),
         headers={"Content-Type": "application/json"},
         method="POST",
@@ -61,7 +61,7 @@ def _post(service, body: dict) -> urllib.request.Request:
 
 class TestConfigEndpoint:
     def test_resolved_defaults_and_hash(self, service, default_config):
-        with urllib.request.urlopen(f"{service.address}/config", timeout=10) as r:
+        with urllib.request.urlopen(f"{service.address}/v1/config", timeout=10) as r:
             payload = json.loads(r.read())
         assert payload["config"] == config_to_dict(default_config)
         assert payload["config_hash"] == default_config.hash

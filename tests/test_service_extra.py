@@ -50,7 +50,7 @@ class TestConcurrency:
         results = []
 
         def probe():
-            with urllib.request.urlopen(f"{service.address}/health", timeout=10) as r:
+            with urllib.request.urlopen(f"{service.address}/v1/health", timeout=10) as r:
                 results.append(json.loads(r.read())["status"])
 
         threads = [threading.Thread(target=probe) for _ in range(8)]
@@ -80,7 +80,7 @@ class TestStandardsDetail:
     def test_rules_consistent_with_library(self, service):
         from repro.scoring.rules import RULES
 
-        with urllib.request.urlopen(f"{service.address}/standards", timeout=10) as r:
+        with urllib.request.urlopen(f"{service.address}/v1/standards", timeout=10) as r:
             payload = json.loads(r.read())
         served = {rule["rule"]: rule for rule in payload["rules"]}
         for rule in RULES:
@@ -88,7 +88,7 @@ class TestStandardsDetail:
             assert served[rule.rule_id]["standard"] == rule.standard.name
 
     def test_advice_text_served(self, service):
-        with urllib.request.urlopen(f"{service.address}/standards", timeout=10) as r:
+        with urllib.request.urlopen(f"{service.address}/v1/standards", timeout=10) as r:
             payload = json.loads(r.read())
         assert all(len(item["advice"]) > 20 for item in payload["standards"])
 
@@ -102,7 +102,7 @@ class TestPayloadEdges:
             {"video_npz_b64": encode_video(one), "seed": 0}
         ).encode()
         request = urllib.request.Request(
-            f"{service.address}/analyze",
+            f"{service.address}/v1/analyze",
             data=payload,
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -113,7 +113,7 @@ class TestPayloadEdges:
 
     def test_empty_body(self, service):
         request = urllib.request.Request(
-            f"{service.address}/analyze", data=b"", method="POST"
+            f"{service.address}/v1/analyze", data=b"", method="POST"
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
@@ -135,7 +135,7 @@ class TestBatchEndpoint:
     def test_batch_analyzes_every_video(self, service, tiny_jump):
         encoded = encode_video(tiny_jump.video)
         status, payload = _post_json(
-            f"{service.address}/analyze/batch",
+            f"{service.address}/v1/analyze/batch",
             {"videos": [{"video_npz_b64": encoded}, {"video_npz_b64": encoded}]},
         )
         assert status == 200
@@ -154,7 +154,7 @@ class TestBatchEndpoint:
             )
         }
         status, payload = _post_json(
-            f"{service.address}/analyze/batch", {"videos": [bad, good]}
+            f"{service.address}/v1/analyze/batch", {"videos": [bad, good]}
         )
         assert status == 200
         assert payload["failed"] == 1
@@ -165,7 +165,7 @@ class TestBatchEndpoint:
     def test_batch_rejects_empty_and_oversized(self, service):
         for body in ({"videos": []}, {"videos": "nope"}):
             request = urllib.request.Request(
-                f"{service.address}/analyze/batch",
+                f"{service.address}/v1/analyze/batch",
                 data=json.dumps(body).encode(),
                 headers={"Content-Type": "application/json"},
                 method="POST",
@@ -176,7 +176,7 @@ class TestBatchEndpoint:
 
     def test_batch_item_errors_name_the_index(self, service):
         request = urllib.request.Request(
-            f"{service.address}/analyze/batch",
+            f"{service.address}/v1/analyze/batch",
             data=json.dumps({"videos": [{"seed": 1}]}).encode(),
             headers={"Content-Type": "application/json"},
             method="POST",
@@ -198,7 +198,7 @@ class TestAnalyzerCacheMetrics:
                 config=overrides,
             )
         with urllib.request.urlopen(
-            f"{service.address}/metrics", timeout=10
+            f"{service.address}/v1/metrics", timeout=10
         ) as response:
             snapshot = json.loads(response.read())
         cache = snapshot["analyzer_cache"]

@@ -50,7 +50,7 @@ def _get_json(url: str) -> dict:
 
 def _post(service, body: bytes) -> urllib.error.HTTPError:
     request = urllib.request.Request(
-        f"{service.address}/analyze",
+        f"{service.address}/v1/analyze",
         data=body,
         headers={"Content-Type": "application/json"},
         method="POST",
@@ -121,7 +121,7 @@ class TestBadRequests:
 class TestMetricsEndpoint:
     def test_metrics_shape_before_any_analysis(self):
         with ServiceHandle() as handle:
-            snapshot = _get_json(f"{handle.address}/metrics")
+            snapshot = _get_json(f"{handle.address}/v1/metrics")
             assert set(snapshot) == {
                 "requests",
                 "stages",
@@ -151,7 +151,7 @@ class TestMetricsEndpoint:
         result = ServiceClient(service.address).analyze(tiny_jump.video, seed=3)
         assert result["trace"]["total_seconds"] > 0.0
 
-        snapshot = _get_json(f"{service.address}/metrics")
+        snapshot = _get_json(f"{service.address}/v1/metrics")
         stages = snapshot["stages"]
         for name in ("segmentation", "tracking", "scoring"):
             assert stages[name]["calls"] >= 1
@@ -160,19 +160,19 @@ class TestMetricsEndpoint:
         assert snapshot["counters"]["ga.evaluations"] > 0
 
     def test_request_counters_accumulate(self, service):
-        before = _get_json(f"{service.address}/metrics")["requests"]
-        _get_json(f"{service.address}/health")
+        before = _get_json(f"{service.address}/v1/metrics")["requests"]
+        _get_json(f"{service.address}/v1/health")
         _post(service, b"{not json")  # counted as a 400
-        after = _get_json(f"{service.address}/metrics")["requests"]
+        after = _get_json(f"{service.address}/v1/metrics")["requests"]
         assert after["total"] >= before.get("total", 0) + 2
-        assert after["endpoint:/health"] >= 1
+        assert after["endpoint:/v1/health"] >= 1
         assert after["status:400"] >= 1
 
     def test_errors_do_not_pollute_stage_metrics(self, tiny_jump):
         # a failed request must count as a request but record no stages
         with ServiceHandle() as handle:
             _post(handle, b"{not json")
-            snapshot = _get_json(f"{handle.address}/metrics")
+            snapshot = _get_json(f"{handle.address}/v1/metrics")
             assert snapshot["stages"] == {}
             assert snapshot["requests"]["status:400"] == 1
 
@@ -184,9 +184,9 @@ class TestScaleOutObservability:
         import os
 
         with ServiceHandle() as handle:
-            snapshot = _get_json(f"{handle.address}/metrics")
+            snapshot = _get_json(f"{handle.address}/v1/metrics")
             assert snapshot["service"]["pid"] == os.getpid()
-            health = _get_json(f"{handle.address}/health")
+            health = _get_json(f"{handle.address}/v1/health")
             assert health["pid"] == os.getpid()
 
     def test_handle_adopts_prebound_listener(self):
@@ -203,7 +203,7 @@ class TestScaleOutObservability:
         handle = ServiceHandle(listener=listener).start()
         try:
             assert handle.address.endswith(f":{port}")
-            health = _get_json(f"http://127.0.0.1:{port}/health")
+            health = _get_json(f"http://127.0.0.1:{port}/v1/health")
             assert health["status"] == "ok"
         finally:
             handle.stop()

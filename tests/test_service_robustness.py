@@ -1,6 +1,7 @@
 """Tests for the hardened service: 413/503/504, degraded 200s, /health."""
 
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -12,7 +13,9 @@ import repro.errors as errors_module
 from repro.client import ServiceClient
 from repro.errors import ReproError
 from repro.ga.engine import GAConfig
+from repro.faults.ops import _pool_leaks
 from repro.ga.temporal import TrackerConfig
+from repro.jobs import JobsConfig
 from repro.model.annotation import simulate_human_annotation
 from repro.model.fitness import FitnessConfig
 from repro.pipeline import AnalyzerConfig
@@ -76,6 +79,42 @@ class _StubAnalyzer:
         raise AssertionError("stub analyzer has no success path")
 
 
+class _BlockingAnalyzer(_StubAnalyzer):
+    """Blocks in ``analyze`` until released, then succeeds."""
+
+    def __init__(self):
+        super().__init__()
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def analyze(self, *args, **kwargs):
+        self.started.set()
+        self.release.wait(10)
+        return object()
+
+
+class _StagedAnalyzer(_StubAnalyzer):
+    """Seven slow stages that honour the cancellation token between them."""
+
+    STAGES = tuple(f"stage{index}" for index in range(7))
+
+    def __init__(self, stage_seconds):
+        super().__init__()
+        self.stage_seconds = stage_seconds
+        self.ran = []
+
+    def analyze(self, video, cancel_token=None, **kwargs):
+        for stage in self.STAGES:
+            cancel_token.raise_if_cancelled(stage)
+            time.sleep(self.stage_seconds)
+            self.ran.append(stage)
+        raise AssertionError("the deadline should have cancelled the run")
+
+
+def _stub_serializer(handle):
+    handle.jobs.workers._serializer = lambda analysis: {"stub": True}
+
+
 class TestBodyLimit:
     def test_oversized_body_is_413(self, short_jump):
         handle = ServiceHandle(
@@ -83,7 +122,7 @@ class TestBodyLimit:
         ).start()
         try:
             status, payload, headers = _post_raw(
-                f"{handle.address}/analyze", _analyze_body(short_jump.video)
+                f"{handle.address}/v1/analyze", _analyze_body(short_jump.video)
             )
             assert status == 413
             assert payload["error"]["type"] == "body_too_large"
@@ -97,7 +136,7 @@ class TestBodyLimit:
             service_config=ServiceConfig(max_body_bytes=512)
         ).start()
         try:
-            status, payload, _ = _post_raw(f"{handle.address}/analyze", b"{}")
+            status, payload, _ = _post_raw(f"{handle.address}/v1/analyze", b"{}")
             assert status == 400  # missing video, but not 413
         finally:
             handle.stop()
@@ -109,8 +148,8 @@ class TestConcurrencyGate:
     ):
         """A config that survives parsing but fails JumpAnalyzer
         construction (robustness stage names are validated there) must
-        answer a structured 400 without consuming a concurrency slot —
-        repeat offenders must not wedge the gate into permanent 503s.
+        answer a structured 400 without creating a job — repeat
+        offenders must not wedge the pool into permanent 503s.
         """
         handle = ServiceHandle(
             service_config=ServiceConfig(max_concurrent=1)
@@ -122,16 +161,15 @@ class TestConcurrencyGate:
                     "config": {"robustness": {"retry_stages": ["bogus"]}},
                 }
             ).encode("utf-8")
-            for _ in range(3):  # would exhaust a leaked single-slot gate
+            for _ in range(3):  # would fill a one-worker pool if admitted
                 status, payload, _ = _post_raw(
-                    f"{handle.address}/analyze", body
+                    f"{handle.address}/v1/analyze", body
                 )
                 assert status == 400
                 assert payload["error"]["type"] == "bad_config"
                 assert "bogus" in payload["error"]["message"]
-            # The slot was never taken: the gate still admits a request.
-            assert handle._server.gate.acquire(blocking=False)
-            handle._server.gate.release()
+            # Refused before admission: no job was ever created.
+            assert handle.jobs.store.stats()["created"] == 0
         finally:
             handle.stop()
 
@@ -142,18 +180,23 @@ class TestConcurrencyGate:
             )
         ).start()
         try:
-            # Occupy the single slot so the next request is refused.
-            assert handle._server.gate.acquire(blocking=False)
+            # An open stream job holds the only pool worker, so the
+            # next synchronous request is refused.
+            status, payload, _ = _post_raw(
+                f"{handle.address}/v1/jobs", json.dumps({"mode": "stream"}).encode()
+            )
+            assert status == 202
+            job_id = payload["job"]["id"]
             try:
                 status, payload, headers = _post_raw(
-                    f"{handle.address}/analyze",
+                    f"{handle.address}/v1/analyze",
                     _analyze_body(short_jump.video),
                 )
                 assert status == 503
                 assert payload["error"]["type"] == "overloaded"
                 assert headers["Retry-After"] == "7"
             finally:
-                handle._server.gate.release()
+                handle.jobs.cancel(job_id)
         finally:
             handle.stop()
 
@@ -166,15 +209,158 @@ class TestDeadline:
         handle._server.analyzer = _StubAnalyzer(delay=0.6)
         try:
             status, payload, _ = _post_raw(
-                f"{handle.address}/analyze", _analyze_body(short_jump.video)
+                f"{handle.address}/v1/analyze", _analyze_body(short_jump.video)
             )
             assert status == 504
             assert payload["error"]["type"] == "deadline_exceeded"
             # The timeout lands in /health's last_error.
-            _, health = _get(f"{handle.address}/health")
+            _, health = _get(f"{handle.address}/v1/health")
             assert health["last_error"]["type"] == "deadline_exceeded"
         finally:
             handle.stop()
+
+
+class TestAttachedJobs:
+    """``/v1/analyze`` runs as a job on the one ``JobManager`` path."""
+
+    def test_breaker_guards_sync_analyze(self, short_jump):
+        handle = ServiceHandle(
+            service_config=ServiceConfig(jobs=JobsConfig(breaker_threshold=2))
+        ).start()
+        handle._server.analyzer = _StubAnalyzer(error=ReproError("kaput"))
+        try:
+            for _ in range(2):
+                status, payload, _ = _post_raw(
+                    f"{handle.address}/v1/analyze",
+                    _analyze_body(short_jump.video),
+                )
+                assert status == 422
+                assert payload["error"]["type"] == "analysis_failed"
+            status, payload, headers = _post_raw(
+                f"{handle.address}/v1/analyze", _analyze_body(short_jump.video)
+            )
+            assert status == 503
+            assert payload["error"]["type"] == "circuit_open"
+            assert int(headers["Retry-After"]) >= 1
+        finally:
+            handle.stop()
+
+    def test_deadline_cancels_the_job_and_leaks_no_slot(self, short_jump):
+        handle = ServiceHandle(
+            service_config=ServiceConfig(deadline_seconds=0.15)
+        ).start()
+        analyzer = _StagedAnalyzer(stage_seconds=0.1)
+        handle._server.analyzer = analyzer
+        try:
+            status, payload, _ = _post_raw(
+                f"{handle.address}/v1/analyze", _analyze_body(short_jump.video)
+            )
+            assert status == 504
+            assert payload["error"]["type"] == "deadline_exceeded"
+            pool = handle._server.pool
+            deadline = time.monotonic() + 10
+            jobs = []
+            while time.monotonic() < deadline:
+                _, listing = _get(f"{handle.address}/v1/jobs")
+                jobs = listing["jobs"]
+                if jobs and jobs[0]["state"] == "cancelled" and not pool.stats()["active"]:
+                    break
+                time.sleep(0.02)
+            # The timed-out job stays visible, cancelled at a stage
+            # boundary instead of running all seven stages.
+            assert [job["state"] for job in jobs] == ["cancelled"]
+            assert len(analyzer.ran) < len(analyzer.STAGES)
+            assert pool.stats()["active"] == 0
+            assert _pool_leaks(pool) == 0
+        finally:
+            handle.stop()
+
+    def test_sync_request_leaves_no_job_record_and_no_spool(
+        self, short_jump, tmp_path
+    ):
+        checkpoints = tmp_path / "checkpoints"
+        handle = ServiceHandle(
+            service_config=ServiceConfig(
+                jobs=JobsConfig(checkpoint_dir=str(checkpoints))
+            )
+        ).start()
+        analyzer = _BlockingAnalyzer()
+        handle._server.analyzer = analyzer
+        _stub_serializer(handle)
+        answers = []
+        thread = threading.Thread(
+            target=lambda: answers.append(
+                _post_raw(
+                    f"{handle.address}/v1/analyze",
+                    _analyze_body(short_jump.video),
+                )
+            )
+        )
+        try:
+            thread.start()
+            assert analyzer.started.wait(10)
+            # Running as a job, but nothing was spooled for it.
+            assert handle.jobs.store.stats()["pending"] == 1
+            assert not any(checkpoints.glob("*"))
+            analyzer.release.set()
+            thread.join(30)
+            status, payload, _ = answers[0]
+            assert (status, payload) == (200, {"stub": True})
+            _, listing = _get(f"{handle.address}/v1/jobs")
+            assert listing == {"jobs": [], "count": 0}
+            assert not any(checkpoints.glob("*"))
+        finally:
+            analyzer.release.set()
+            handle.stop()
+
+    def test_disabled_job_api_still_serves_sync_analyze(self, short_jump):
+        handle = ServiceHandle(
+            service_config=ServiceConfig(jobs=JobsConfig(enabled=False))
+        ).start()
+        analyzer = _BlockingAnalyzer()
+        analyzer.release.set()
+        handle._server.analyzer = analyzer
+        _stub_serializer(handle)
+        try:
+            status, payload, _ = _post_raw(
+                f"{handle.address}/v1/analyze", _analyze_body(short_jump.video)
+            )
+            assert (status, payload) == (200, {"stub": True})
+            # The flag gates only the /v1/jobs endpoints.
+            status, payload, _ = _post_raw(f"{handle.address}/v1/jobs", b"{}")
+            assert status == 503
+            assert payload["error"]["type"] == "jobs_disabled"
+        finally:
+            handle.stop()
+
+    def test_shutdown_answers_a_queued_batch_item_with_503(self, short_jump):
+        handle = ServiceHandle(
+            service_config=ServiceConfig(max_concurrent=1)
+        ).start()
+        analyzer = _BlockingAnalyzer()
+        handle._server.analyzer = analyzer
+        _stub_serializer(handle)
+        video = json.loads(_analyze_body(short_jump.video))
+        body = json.dumps({"videos": [video, video]}).encode()
+        answers = []
+        thread = threading.Thread(
+            target=lambda: answers.append(
+                _post_raw(f"{handle.address}/v1/analyze/batch", body)
+            )
+        )
+        try:
+            thread.start()
+            # The first item holds the only worker; the second is queued
+            # when the pool shuts down and cancels it.
+            assert analyzer.started.wait(10)
+        finally:
+            handle.stop()
+            analyzer.release.set()
+        thread.join(30)
+        status, payload, headers = answers[0]
+        assert status == 503
+        assert payload["error"]["type"] == "draining"
+        assert "Retry-After" in headers
 
 
 REPRO_ERRORS = sorted(
@@ -196,7 +382,7 @@ class TestErrorMapping:
         handle._server.analyzer = _StubAnalyzer(error=exc_type("kaput"))
         try:
             status, payload, _ = _post_raw(
-                f"{handle.address}/analyze", _analyze_body(short_jump.video)
+                f"{handle.address}/v1/analyze", _analyze_body(short_jump.video)
             )
             assert status == 422
             assert payload["error"]["type"] == "analysis_failed"
@@ -209,11 +395,11 @@ class TestErrorMapping:
         handle._server.analyzer = _StubAnalyzer(error=ValueError("surprise"))
         try:
             status, payload, _ = _post_raw(
-                f"{handle.address}/analyze", _analyze_body(short_jump.video)
+                f"{handle.address}/v1/analyze", _analyze_body(short_jump.video)
             )
             assert status == 500
             assert payload["error"]["type"] == "internal_error"
-            _, health = _get(f"{handle.address}/health")
+            _, health = _get(f"{handle.address}/v1/health")
             assert health["last_error"]["type"] == "internal_error"
         finally:
             handle.stop()
@@ -222,7 +408,7 @@ class TestErrorMapping:
         handle = ServiceHandle().start()
         try:
             status, payload, _ = _post_raw(
-                f"{handle.address}/analyze", b"not json"
+                f"{handle.address}/v1/analyze", b"not json"
             )
             assert status == 400
             assert payload["error"]["type"] == "malformed_json"
@@ -273,7 +459,7 @@ class TestDegradedResponses:
             assert result["degraded"] is False
             assert "degradation" not in result
             assert result["diagnostics"]["unhealthy_frames"] == []
-            _, health = _get(f"{handle.address}/health")
+            _, health = _get(f"{handle.address}/v1/health")
             assert health["in_flight"] == 0
         finally:
             handle.stop()

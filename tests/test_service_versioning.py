@@ -1,4 +1,4 @@
-"""The ``/v1`` surface vs its deprecated unversioned aliases."""
+"""The ``/v1`` surface; the retired unversioned aliases answer 404."""
 
 from __future__ import annotations
 
@@ -30,19 +30,15 @@ class TestAliases:
         "path", ["/health", "/standards", "/config", "/metrics", "/version"]
     )
     def test_alias_and_v1_bodies_are_identical(self, service, path):
+        """The unversioned aliases are gone: a bare path is a 404 with
+        the error envelope, while its ``/v1`` twin answers 200."""
         alias_status, alias_body, alias_headers = _get(service.address + path)
-        v1_status, v1_body, v1_headers = _get(service.address + "/v1" + path)
-        assert alias_status == v1_status == 200
-        if path == "/metrics":
-            # request counters move between the two calls; compare shape
-            assert set(alias_body) == set(v1_body)
-        else:
-            # uptime_seconds is wall-clock and moves between the calls
-            alias_body.pop("uptime_seconds", None)
-            v1_body.pop("uptime_seconds", None)
-            assert alias_body == v1_body
-        assert alias_headers.get("Deprecation") == "true"
-        assert v1_headers.get("Deprecation") is None
+        v1_status, _, _ = _get(service.address + "/v1" + path)
+        assert alias_status == 404
+        assert v1_status == 200
+        assert alias_body["error"]["type"] == "not_found"
+        assert set(alias_body["error"]) == {"type", "message", "detail"}
+        assert alias_headers.get("Deprecation") is None
 
     def test_unknown_paths_are_404_on_both_surfaces(self, service):
         for prefix in ("", "/v1"):
