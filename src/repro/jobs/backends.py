@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Protocol
+from typing import Any, Callable, Protocol
 
 from ..errors import ConfigurationError
 
@@ -69,8 +69,12 @@ class JobStoreBackend(Protocol):
         """The persisted snapshot (non-shared), or ``{"seq": n}`` (shared)."""
         ...
 
-    def persist_snapshot(self, payload: dict[str, Any]) -> None:
-        """Persist the whole store state (non-shared backends only)."""
+    def persist_snapshot(self, snapshot: Callable[[], dict[str, Any]]) -> None:
+        """Persist the whole store state (non-shared backends only).
+
+        ``snapshot()`` builds it; a backend that persists nothing
+        never calls it, so a transition costs no serialisation.
+        """
         ...
 
     def allocate_seq(self) -> int:
@@ -129,11 +133,11 @@ class SingleProcessBackend:
                 f"could not load job store from {self._path}: {exc}"
             ) from exc
 
-    def persist_snapshot(self, payload: dict[str, Any]) -> None:
+    def persist_snapshot(self, snapshot: Callable[[], dict[str, Any]]) -> None:
         if self._path is None:
             return
         tmp = self._path.with_suffix(self._path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload))
+        tmp.write_text(json.dumps(snapshot()))
         tmp.replace(self._path)
 
     # The queue/record surface is a shared-backend concept.
@@ -194,7 +198,7 @@ class SharedDirectoryBackend:
             except (OSError, json.JSONDecodeError, KeyError, ValueError):
                 return None
 
-    def persist_snapshot(self, payload: dict[str, Any]) -> None:
+    def persist_snapshot(self, snapshot: Callable[[], dict[str, Any]]) -> None:
         # Shared stores persist per-job; nothing snapshot-shaped to do.
         return None
 

@@ -570,15 +570,15 @@ class JobStore:
         """Persist after a mutation (lock held).
 
         Non-shared: the whole store is snapshotted (historical
-        behaviour, a no-op without a persist path).  Shared: only the
-        changed job's record is rewritten — full snapshots would race
-        other replicas' writes.
+        behaviour; without a persist path the backend never builds the
+        snapshot).  Shared: only the changed job's record is rewritten
+        — full snapshots would race other replicas' writes.
         """
         if self.shared:
             if job is not None:
                 self._backend.write_job(job.to_record())
             return
-        self._backend.persist_snapshot({
+        self._backend.persist_snapshot(lambda: {
             "seq": self._seq,
             "jobs": [job.to_record() for job in self._jobs.values()],
             "expired": dict(self._expired),

@@ -774,6 +774,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_json_body(self) -> dict[str, Any]:
         """Read and decode the request body under the size cap."""
+        self._body_read = True
         try:
             length = int(self.headers.get("Content-Length", "0") or 0)
         except ValueError:
@@ -913,6 +914,7 @@ class _Handler(BaseHTTPRequestHandler):
     # POST / DELETE
     # ------------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
+        self._body_read = False
         try:
             path = self._route()
             if path == "/analyze":
@@ -936,6 +938,15 @@ class _Handler(BaseHTTPRequestHandler):
                     "not_found", f"unknown path {self.path!r}", status=404
                 )
         except _BadRequest as exc:
+            if not self._body_read:
+                # Refused before the body was read (unknown path,
+                # draining, jobs disabled): drain it, capped as for a
+                # 413, so a client still sending reads this answer
+                # instead of a broken pipe.
+                try:
+                    self._drain_body(int(self.headers.get("Content-Length") or 0))
+                except ValueError:
+                    pass
             self._send_bad_request(exc)
 
     def do_DELETE(self) -> None:  # noqa: N802 (http.server API)

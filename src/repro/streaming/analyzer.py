@@ -3,19 +3,24 @@
 Two modes, selected by ``AnalyzerConfig.streaming.warmup_frames``:
 
 * **batch** (``warmup_frames == 0``, the default): every pushed frame
-  is buffered; ``finish()`` runs the analyzer's classic seven-stage
-  runner over the whole sequence.  This is byte-identical to the
-  pre-streaming ``JumpAnalyzer.analyze`` — same stages, policies,
-  instrumentation events, parallel fan-out and cancellation points.
+  is buffered; ``finish()`` hands the clip to
+  :meth:`JumpAnalyzer.analyze <repro.pipeline.JumpAnalyzer.analyze>`,
+  so the result is the one a direct call gives — same stages,
+  policies, instrumentation events, parallel fan-out and cancellation
+  points.
 * **live** (``warmup_frames >= 2``): the first ``warmup_frames`` frames
   feed an :class:`~repro.segmentation.online.OnlineBackgroundModel`;
   once it freezes, the buffered frames drain through the per-frame path
   and every further ``push_frame`` does O(frame) work — segment
-  (Steps 2–5), one :class:`~repro.ga.temporal.TrackingSession` step
-  (recovery ladder included), and a guarded provisional event/score
-  estimate.  ``finish()`` runs the shared post-tracking tail stages
-  (smoothing → events → scoring → measurement, with the same
-  retry/fallback policies) and assembles the :class:`JumpAnalysis`.
+  (Steps 2–5), one step of the analyzer's tracking front (the front
+  the batch ``tracking`` stage drives, recovery ladder included), and a
+  guarded provisional event/score estimate under the configured
+  movement profile.  ``finish()`` hands the front to
+  :meth:`JumpAnalyzer.finish_live
+  <repro.pipeline.JumpAnalyzer.finish_live>`, which runs the runner's
+  post-tracking stages (smoothing → events → scoring → measurement,
+  with the same retry/fallback policies) and assembles the
+  :class:`~repro.pipeline.JumpAnalysis`.
 
 A stream that ends before its warm-up fills falls back to the batch
 path over whatever was buffered, so short clips behave identically in
@@ -24,27 +29,24 @@ both modes.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Any, Iterable
 
 import numpy as np
 
-from ..analysis.events import detect_events
-from ..config.hashing import config_hash
-from ..errors import ReproError, SegmentationError, StreamError, VideoError
-from ..ga.temporal import FrameHealth, TemporalPoseTracker, TrackingSession
+from ..errors import ReproError, StreamError
+from ..ga.temporal import FrameHealth
 from ..imaging.image import ensure_rgb
-from ..model.annotation import FirstFrameAnnotation, auto_annotate
+from ..model.annotation import FirstFrameAnnotation
 from ..model.pose import StickPose
+from ..model.sticks import BodyDimensions
 from ..pipeline import JumpAnalysis, JumpAnalyzer
 from ..runtime import CancellationToken, Instrumentation, StageContext
-from ..runtime.trace import StageTiming
 from ..scoring.report import JumpScorer
 from ..segmentation.online import RunningBackgroundModel
 from ..segmentation.pipeline import FrameSegmentation, SegmentationPipeline
-from ..tracking import TrackAnalysis, TrackFrameState, TrackManager
+from ..tracking import TrackFrameState
 from ..video.sequence import VideoSequence
 
 
@@ -120,7 +122,8 @@ class StreamingAnalyzer:
     """Push-based frame-at-a-time analysis (see module docstring).
 
     Create via :meth:`repro.pipeline.JumpAnalyzer.open_stream`; the
-    stream shares the analyzer's config, stage objects and policies.
+    stream shares the analyzer's config, tracking front, stage objects
+    and policies.
     """
 
     def __init__(
@@ -138,7 +141,6 @@ class StreamingAnalyzer:
         # reconstructs state by frame replay instead — see
         # repro.resilience.checkpoint).
         self._checkpointer = checkpointer
-        self._given_annotation = annotation
         self._annotation = annotation
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._instrumentation = instrumentation or Instrumentation()
@@ -153,7 +155,6 @@ class StreamingAnalyzer:
             and not self.config.localization.enabled
         )
         self._buffer: list[np.ndarray] = []
-        self._video: VideoSequence | None = None
         self._frames_seen = 0
         self._finished = False
         self._started_at: float | None = None
@@ -161,8 +162,7 @@ class StreamingAnalyzer:
         self._segmenter: SegmentationPipeline | None = None
         self._segmentations: list[FrameSegmentation] = []
         self._background = None  # BackgroundResult
-        self._session: TrackingSession | None = None
-        self._manager: TrackManager | None = None  # multi-actor live mode
+        self._front = None  # JumpAnalyzer.tracking_front
         self._provisional: ProvisionalEstimate | None = None
 
     # ------------------------------------------------------------------
@@ -218,23 +218,7 @@ class StreamingAnalyzer:
         return self._process_live(frame, index)
 
     def extend(self, frames: Iterable[np.ndarray]) -> None:
-        """Push every frame of an iterable (the batch wrapper's loop).
-
-        In batch mode a whole :class:`VideoSequence` is adopted without
-        re-buffering — the zero-copy fast path ``analyze`` uses.
-        """
-        if (
-            not self._live
-            and isinstance(frames, VideoSequence)
-            and self._video is None
-            and not self._buffer
-            and not self._finished
-        ):
-            if self._started_at is None:
-                self._started_at = time.perf_counter()
-            self._video = frames
-            self._frames_seen += len(frames)
-            return
+        """Push every frame of an iterable."""
         for frame in frames:
             self.push_frame(frame)
 
@@ -270,6 +254,9 @@ class StreamingAnalyzer:
         segmenter.set_background(background)
         self._segmenter = segmenter
         self._background = background
+        self._front = self._analyzer.tracking_front(
+            self._annotation, self._rng, self._instrumentation
+        )
         drained, self._buffer = self._buffer, []
         update: FrameUpdate | None = None
         for offset, frame in enumerate(drained):
@@ -278,90 +265,37 @@ class StreamingAnalyzer:
         return update
 
     def _process_live(self, frame: np.ndarray, index: int) -> FrameUpdate:
-        """Segment and track one frame; refresh the provisional state."""
+        """Segment and track one frame; refresh the provisional state.
+
+        With N actors the scalar pose/health fields of the update mirror
+        the current primary track, so single-actor consumers of the
+        stream keep working, and ``tracks`` carries every track's
+        outcome.
+        """
         seg = self._segmenter.segment(frame)
         self._segmentations.append(seg)
-        mask = seg.person
-        if self.config.tracking.enabled:
-            return self._process_live_multi(seg, mask, index)
-        if self._session is None:
-            if not mask.any():
-                raise SegmentationError(
-                    "no human object found in the first frame; cannot "
-                    "anchor the stick model"
-                )
-            if self._annotation is None:
-                self._annotation = auto_annotate(mask)
-                self._instrumentation.count("annotation.automatic", 1)
-            tracker = TemporalPoseTracker(
-                self._annotation.dims,
-                self.config.tracker,
-                instrumentation=self._instrumentation,
-            )
-            self._session = tracker.start(self._annotation.pose, rng=self._rng)
-            pose = self._annotation.pose
-            health = self._session.latest_health
-        else:
-            pose, health = self._session.step(mask)
-        self._refresh_provisional(index)
+        tracked = self._front.step(seg.person, seg.candidates)
+        pose_box = None
+        if tracked.pose is not None:
+            pose_box = self._pose_box(tracked.pose, tracked.dims)
+            self._refresh_provisional(index, tracked.poses, tracked.dims)
         return FrameUpdate(
             frame_index=index,
             frames_seen=self._frames_seen,
             phase="tracking",
-            pose=pose,
-            pose_box=self._pose_box(pose),
-            health=health,
-            provisional=self._provisional,
-        )
-
-    def _process_live_multi(
-        self, seg: FrameSegmentation, mask: np.ndarray, index: int
-    ) -> FrameUpdate:
-        """One frame through the :class:`TrackManager` (multi-actor).
-
-        The scalar pose/health fields of the update mirror the current
-        primary track (most frames so far) so single-actor consumers of
-        the stream keep working; ``tracks`` carries every track's
-        outcome.  An empty first frame is not an error here — tracks
-        spawn whenever their actor first appears.
-        """
-        if self._manager is None:
-            self._manager = TrackManager(
-                self.config.tracker,
-                self.config.tracking,
-                rng=self._rng,
-                instrumentation=self._instrumentation,
-                seed_annotation=self._annotation,
-            )
-        states = self._manager.step(mask, seg.candidates)
-        pose = health = pose_box = None
-        if self._manager.tracks:
-            primary = self._manager.primary_track()
-            if primary.alive:
-                pose = primary.latest_pose
-                health = primary.latest_health
-                pose_box = self._pose_box(pose, primary.annotation.dims)
-                self._refresh_provisional(
-                    index,
-                    poses=primary.session.poses,
-                    dims=primary.annotation.dims,
-                )
-        return FrameUpdate(
-            frame_index=index,
-            frames_seen=self._frames_seen,
-            phase="tracking",
-            pose=pose,
+            pose=tracked.pose,
             pose_box=pose_box,
-            health=health,
+            health=tracked.health,
             provisional=self._provisional,
-            tracks=states,
+            tracks=tracked.tracks,
         )
 
+    @staticmethod
     def _pose_box(
-        self, pose: StickPose, dims=None
+        pose: StickPose, dims: BodyDimensions
     ) -> tuple[float, float, float, float]:
         """Axis-aligned bounding box of the stick figure (x, y, w, h)."""
-        segments = pose.segments(dims if dims is not None else self._annotation.dims)
+        segments = pose.segments(dims)
         xs, ys = segments[..., 0], segments[..., 1]
         x_min, y_min = float(xs.min()), float(ys.min())
         return (
@@ -371,22 +305,22 @@ class StreamingAnalyzer:
             float(ys.max()) - y_min,
         )
 
-    def _refresh_provisional(self, index: int, poses=None, dims=None) -> None:
+    def _refresh_provisional(
+        self, index: int, poses: tuple[StickPose, ...], dims: BodyDimensions
+    ) -> None:
         """Re-estimate events/score on the pose prefix, never raising.
 
-        ``poses``/``dims`` default to the single-actor session's; the
-        multi-actor path passes the primary track's.
+        The movement profile's event detector and rules apply, as in
+        the final analysis.
         """
         streaming = self.config.streaming
         if not streaming.provisional_events:
             return
-        if poses is None:
-            poses = self._session.poses
-            dims = self._annotation.dims
         if len(poses) < 4 or index % streaming.provisional_every:
             return
+        profile = self._analyzer.profile
         try:
-            events = detect_events(poses, dims)
+            events = profile.detect_events(poses, dims)
         except ReproError:
             return
         score: float | None = None
@@ -394,7 +328,7 @@ class StreamingAnalyzer:
             try:
                 # A private scorer: provisional passes must not inflate
                 # the stream's own rule counters.
-                report = JumpScorer().score(
+                report = JumpScorer(profile=profile).score(
                     poses, takeoff_frame=events.takeoff_frame
                 )
                 score = report.score
@@ -417,122 +351,28 @@ class StreamingAnalyzer:
         if self._finished:
             raise StreamError("finish() called twice")
         self._finished = True
-        if self._session is None and self._manager is None:
+        if self._front is None:
             # Batch mode — or a live stream that ended inside its
             # warm-up, which degenerates to the batch path over the
-            # buffered prefix.
-            return self._finish_batch()
-        return self._finish_live()
-
-    def _finish_batch(self) -> JumpAnalysis:
-        if self._video is not None and not self._buffer:
-            video = self._video
-        elif self._video is not None:
-            video = VideoSequence(list(self._video) + self._buffer)
-        elif self._buffer:
-            video = VideoSequence(self._buffer)
-        else:
-            raise VideoError(
-                "cannot analyze a zero-frame video; the sequence needs at "
-                "least one frame to segment and anchor the stick model"
+            # buffered prefix.  An empty buffer meets analyze()'s
+            # zero-frame check.
+            video = VideoSequence(self._buffer) if self._buffer else []
+            return self._analyzer.analyze(
+                video,
+                annotation=self._annotation,
+                rng=self._rng,
+                instrumentation=self._instrumentation,
+                cancel_token=self._cancel_token,
+                checkpointer=self._checkpointer,
             )
-        return self._analyzer._analyze_batch(
-            video,
-            annotation=self._given_annotation,
-            rng=self._rng,
-            instrumentation=self._instrumentation,
-            cancel_token=self._cancel_token,
-            checkpointer=self._checkpointer,
-        )
-
-    def _finish_live(self) -> JumpAnalysis:
         if self._cancel_token is not None:
             self._cancel_token.raise_if_cancelled("finish")
-        config_dict = self.config.to_dict()
-        resolved_hash = config_hash(config_dict)
         context = StageContext(
             instrumentation=self._instrumentation,
             cancel_token=self._cancel_token,
         )
-        tracks: tuple[TrackAnalysis, ...] = ()
-        if self._manager is not None:
-            # Multi-actor live mode: per-track tails, primary anchors
-            # the legacy top-level fields (same shape as the batch
-            # multi path in JumpAnalyzer._stage_tracking_multi).
-            primary = self._manager.primary_track()
-            reportable = list(self._manager.confirmed_tracks()) or [primary]
-            collected = []
-            for track in reportable:
-                try:
-                    collected.append(
-                        self._analyzer._finish_track(track, context)
-                    )
-                except ReproError:
-                    if track is primary:
-                        raise
-                    self._instrumentation.event(
-                        "tracking/track_tail_failed", track_id=track.track_id
-                    )
-            tracks = tuple(collected)
-            tracking = primary.result()
-            self._annotation = primary.annotation
-        else:
-            tracking = self._session.result()
-        context.artifacts["annotation"] = self._annotation
-        context.artifacts["rng"] = self._rng
         context.artifacts["segmentations"] = tuple(self._segmentations)
         context.artifacts["background"] = self._background.background
-        context.artifacts["tracking"] = tracking
-        context.metadata["config"] = config_dict
-        context.metadata["config_hash"] = resolved_hash
-        outcome = self._analyzer.tail_runner().run(
-            tracking.poses, context=context
-        )
-        trace = self._synthesize_trace(outcome.trace)
-        artifacts = outcome.context.artifacts
-        diagnostics = self._analyzer._build_diagnostics(tracking, trace)
-        self._analyzer._augment_diagnostics(diagnostics, tracks)
-        return JumpAnalysis(
-            segmentations=tuple(self._segmentations),
-            background=self._background.background,
-            annotation=self._annotation,
-            tracking=tracking,
-            poses=artifacts["poses"],
-            events=artifacts["events"],
-            report=artifacts["report"],
-            measurement=artifacts["measurement"],
-            trace=trace,
-            config=config_dict,
-            config_hash=resolved_hash,
-            diagnostics=diagnostics,
-            tracks=tracks,
-        )
-
-    def _synthesize_trace(self, tail_trace):
-        """Prepend per-frame stage totals to the tail runner's trace.
-
-        The live path has no top-level segmentation/tracking stage
-        spans (work happened per frame), so the trace's stage table is
-        rebuilt from the accumulated sub-spans; ``total_seconds`` is
-        the wall-clock from the first push to finish.
-        """
-        inst = self._instrumentation
-        seg_seconds = sum(
-            timing.seconds
-            for timing in inst.timings()
-            if timing.name.startswith("segmentation/")
-        )
-        head = (
-            StageTiming("segmentation", seg_seconds),
-            StageTiming("tracking", inst.seconds("tracking/frame")),
-        )
-        elapsed = (
-            time.perf_counter() - self._started_at
-            if self._started_at is not None
-            else tail_trace.total_seconds
-        )
-        return dataclasses.replace(
-            tail_trace,
-            stages=head + tail_trace.stages,
-            total_seconds=elapsed,
+        return self._analyzer.finish_live(
+            self._front, context, self._started_at
         )

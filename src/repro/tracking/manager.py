@@ -83,6 +83,7 @@ class TrackManager:
         rng: np.random.Generator | None = None,
         instrumentation: Instrumentation | None = None,
         seed_annotation: FirstFrameAnnotation | None = None,
+        prior_angles: "tuple[float, ...] | None" = None,
     ) -> None:
         self.config = config
         self._tracker_config = tracker_config
@@ -90,8 +91,11 @@ class TrackManager:
         self._instrumentation = instrumentation or Instrumentation()
         # A caller-supplied first-frame annotation seeds the first
         # spawned track (the paper's human-drawn stick model); every
-        # later birth is auto-annotated from its component.
+        # later birth is auto-annotated from its component, in the
+        # ``prior_angles`` start posture (a movement profile's
+        # ``start_angles``; ``None`` is the standing prior).
         self._seed_annotation = seed_annotation
+        self._prior_angles = prior_angles
         self._tracks: list[Track] = []
         self._frames_seen = 0
 
@@ -227,7 +231,9 @@ class TrackManager:
             self._seed_annotation = None
         else:
             try:
-                annotation = auto_annotate(mask)
+                annotation = auto_annotate(
+                    mask, prior_angles=self._prior_angles
+                )
             except ModelError:
                 # Degenerate component (too thin/small to moment-fit):
                 # not a spawnable actor.

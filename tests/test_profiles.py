@@ -200,6 +200,57 @@ class TestSitToStandEndToEnd:
         ]
 
 
+class TestSitToStandLive:
+    """A live stream follows the configured profile, as batch does."""
+
+    @pytest.fixture(scope="class")
+    def streamed(self):
+        from dataclasses import replace
+
+        from repro.config import get_preset
+        from repro.pipeline import StreamingConfig
+
+        clip = synthesize_sit_to_stand()
+        config = replace(
+            get_preset("fast"),
+            profile="sit_to_stand",
+            # The subject sits still through the first frames, so a short
+            # warm-up freezes them into the background and frame 0
+            # segments empty (docs/profiles.md).  Warming up on every
+            # frame but the last lets the background see them rise.
+            streaming=StreamingConfig(warmup_frames=len(clip.video) - 1),
+        )
+        stream = JumpAnalyzer(config).open_stream(
+            rng=np.random.default_rng(clip.config.seed)
+        )
+        for frame in clip.video:
+            stream.push_frame(frame)
+        provisional = stream.provisional
+        return provisional, stream.finish()
+
+    def test_anchors_on_the_seated_prior(self, streamed):
+        _, analysis = streamed
+        profile = get_profile("sit_to_stand")
+        assert analysis.annotation.pose.angles_deg == pytest.approx(
+            profile.start_angles
+        )
+
+    def test_provisional_uses_the_profile(self, streamed):
+        from repro.scoring.report import JumpScorer
+
+        provisional, analysis = streamed
+        profile = get_profile("sit_to_stand")
+        poses = analysis.tracking.poses
+        events = profile.detect_events(poses, analysis.annotation.dims)
+        report = JumpScorer(profile=profile).score(
+            poses, takeoff_frame=events.takeoff_frame
+        )
+        assert provisional.frames_seen == len(poses)
+        assert provisional.takeoff_frame == events.takeoff_frame
+        assert provisional.landing_frame == events.landing_frame
+        assert provisional.score == report.score
+
+
 class TestSitToStandClipValidation:
     def test_rejects_bad_timeline(self):
         with pytest.raises(ConfigurationError):

@@ -115,6 +115,49 @@ def _stub_serializer(handle):
     handle.jobs.workers._serializer = lambda analysis: {"stub": True}
 
 
+class TestRefusalsReadTheBody:
+    """A refusal made before the body is read still drains it, so a
+    client sending a multi-megabyte video reads the answer instead of
+    a broken pipe."""
+
+    def test_jobs_disabled_is_503(self, short_jump):
+        body = _analyze_body(short_jump.video)
+        assert len(body) >= 1_400_000
+        handle = ServiceHandle(
+            service_config=ServiceConfig(jobs=JobsConfig(enabled=False))
+        ).start()
+        try:
+            status, payload, _ = _post_raw(f"{handle.address}/v1/jobs", body)
+        finally:
+            handle.stop()
+        assert status == 503
+        assert payload["error"]["type"] == "jobs_disabled"
+
+    def test_draining_analyze_is_503_with_retry_after(self, short_jump):
+        handle = ServiceHandle().start()
+        try:
+            assert handle.drain(timeout=5.0)
+            status, payload, headers = _post_raw(
+                f"{handle.address}/v1/analyze", _analyze_body(short_jump.video)
+            )
+        finally:
+            handle.stop()
+        assert status == 503
+        assert payload["error"]["type"] == "draining"
+        assert headers["Retry-After"]
+
+    def test_unknown_path_is_404(self, short_jump):
+        handle = ServiceHandle().start()
+        try:
+            status, payload, _ = _post_raw(
+                f"{handle.address}/v1/nowhere", _analyze_body(short_jump.video)
+            )
+        finally:
+            handle.stop()
+        assert status == 404
+        assert payload["error"]["type"] == "not_found"
+
+
 class TestBodyLimit:
     def test_oversized_body_is_413(self, short_jump):
         handle = ServiceHandle(
@@ -327,7 +370,9 @@ class TestAttachedJobs:
             )
             assert (status, payload) == (200, {"stub": True})
             # The flag gates only the /v1/jobs endpoints.
-            status, payload, _ = _post_raw(f"{handle.address}/v1/jobs", b"{}")
+            status, payload, _ = _post_raw(
+                f"{handle.address}/v1/jobs", _analyze_body(short_jump.video)
+            )
             assert status == 503
             assert payload["error"]["type"] == "jobs_disabled"
         finally:

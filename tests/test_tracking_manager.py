@@ -152,6 +152,20 @@ class TestSpawning:
         with pytest.raises(TrackingError, match="no tracks"):
             m.primary_track()
 
+    def test_unseeded_spawn_uses_the_given_prior(self):
+        from repro.profiles import get_profile
+
+        prior = get_profile("sit_to_stand").start_angles
+        m = TrackManager(
+            fast_tracker_config(),
+            TrackingConfig(enabled=True),
+            rng=np.random.default_rng(0),
+            prior_angles=prior,
+        )
+        m.step(blob(5, 10, height=20, width=14))
+        (track,) = m.tracks
+        assert track.annotation.pose.angles_deg == pytest.approx(prior)
+
 
 class TestManagerStep:
     def test_states_report_match_and_miss(self):
