@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .convergence import GenerationStats, SearchResult
-from .operators import OperatorConfig, grouped_crossover, mutate
+from .operators import OperatorConfig, grouped_crossover, mutate, swap_groups
 from ..errors import ConfigurationError
 from ..model.pose import GENES
 from ..runtime import Instrumentation
@@ -134,6 +134,8 @@ class GeneticAlgorithm:
             raise ConfigurationError(
                 f"initial population must be (P, {GENES}), got {population.shape}"
             )
+        if population.shape[0] == 0:
+            raise ConfigurationError("initial population is empty")
         if population.shape[0] > cfg.population_size:
             population = population[: cfg.population_size]
         elif population.shape[0] < cfg.population_size:
@@ -259,13 +261,70 @@ class GeneticAlgorithm:
         validity_fn: ValidityFn | None,
         rng: np.random.Generator,
     ) -> np.ndarray | None:
+        """Breed one child of the pair, or ``None`` if every attempt fails.
+
+        An attempt is a grouped crossover, a coin for which of the two
+        children to keep, and a mutation; up to ``offspring_attempts``
+        are made until one passes ``validity_fn``.  The result and the
+        generator's final state are exactly those of making the
+        attempts one at a time, because validity never changes which
+        numbers an attempt draws, only when the loop stops.  Every
+        attempt draws G crossover uniforms, one coin and G mutation
+        uniforms, in that order (G gene groups), and Gaussians only
+        after a mutation uniform below ``mutation_rate``.
+
+        The first attempt runs on its own, since most children pass it.
+        After it fails, the remaining K attempts are read ahead from one
+        ``(K, 2G + 1)`` block of uniforms, which consumes exactly what K
+        scalar rounds would.  The attempts before the first one whose
+        block row fires a mutation are tested in one ``validity_fn``
+        call, and the generator is restored and replayed to just after
+        the first that passes.  If none passes, it is replayed to the
+        start of the firing attempt's mutation draws, that attempt runs
+        its scalar :func:`mutate` and is tested alone, and the attempts
+        left repeat the scheme.  The replay restores the saved state
+        rather than calling ``advance``, which would drop a PCG64's
+        buffered 32-bit half that a later ``rng.integers`` reads.
+        """
         ops = self.config.operators
-        for _ in range(self.config.offspring_attempts):
-            child_a, child_b = grouped_crossover(
-                parent_a, parent_b, ops.crossover_rate, rng, groups=ops.gene_groups
+        child_a, child_b = grouped_crossover(
+            parent_a, parent_b, ops.crossover_rate, rng, groups=ops.gene_groups
+        )
+        child = mutate(child_a if rng.random() < 0.5 else child_b, ops, rng)
+        if validity_fn is None or validity_fn(child[None, :])[0]:
+            return child
+
+        groups = len(ops.gene_groups)
+        width = 2 * groups + 1  # uniforms of an attempt whose mutation does not fire
+        left = self.config.offspring_attempts - 1
+        while left:
+            start = rng.bit_generator.state
+            draws = rng.random((left, width))
+            fires = (draws[:, groups + 1 :] < ops.mutation_rate).any(axis=1)
+            clean = int(fires.argmax()) if fires.any() else left
+            draws = draws[: clean + 1]
+            swapped_a, swapped_b = swap_groups(
+                parent_a, parent_b, draws[:, :groups] < ops.crossover_rate,
+                ops.gene_groups,
             )
-            child = child_a if rng.random() < 0.5 else child_b
-            child = mutate(child, ops, rng)
-            if validity_fn is None or bool(validity_fn(child[None, :])[0]):
+            children = np.where(draws[:, groups, None] < 0.5, swapped_a, swapped_b)
+            if clean:
+                valid = np.asarray(validity_fn(children[:clean]), dtype=bool)
+                if valid.any():
+                    passed = int(valid.argmax())
+                    _replay(rng, start, (passed + 1) * width)
+                    return children[passed]
+            if clean == left:
+                return None
+            _replay(rng, start, clean * width + groups + 1)
+            child = mutate(children[clean], ops, rng)
+            if validity_fn(child[None, :])[0]:
                 return child
+            left -= clean + 1
         return None
+
+
+def _replay(rng: np.random.Generator, state: dict, uniforms: int) -> None:
+    """Put ``rng`` back to ``state`` and then ``uniforms`` draws on."""
+    rng.bit_generator.state = state
+    rng.random(uniforms)

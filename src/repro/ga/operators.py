@@ -9,6 +9,7 @@ applied to each group with a probability 0.01."
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,18 +66,41 @@ def grouped_crossover(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Swap whole gene groups between two parents.
 
-    Each group is exchanged independently with probability ``rate``.
-    Returns two children (copies).
+    Each group is exchanged independently with probability ``rate``,
+    one uniform draw per group in group order.  Returns two children
+    (copies).
     """
-    child_a = np.array(parent_a, dtype=np.float64, copy=True)
-    child_b = np.array(parent_b, dtype=np.float64, copy=True)
-    if child_a.shape != (GENES,) or child_b.shape != (GENES,):
+    parent_a = np.asarray(parent_a, dtype=np.float64)
+    parent_b = np.asarray(parent_b, dtype=np.float64)
+    if parent_a.shape != (GENES,) or parent_b.shape != (GENES,):
         raise ConfigurationError("parents must be 10-gene chromosomes")
-    for group in groups:
-        if rng.random() < rate:
-            idx = list(group)
-            child_a[idx], child_b[idx] = child_b[idx].copy(), child_a[idx].copy()
-    return child_a, child_b
+    return swap_groups(parent_a, parent_b, rng.random(len(groups)) < rate, groups)
+
+
+def swap_groups(
+    parent_a: np.ndarray,
+    parent_b: np.ndarray,
+    swap: np.ndarray,
+    groups: tuple[tuple[int, ...], ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exchange the gene groups flagged in ``swap`` between two parents.
+
+    ``swap`` holds one flag per group: ``(G,)`` for one crossover, or
+    ``(K, G)`` for K crossovers of the same pair, which give two
+    ``(K, 10)`` child arrays.  Draws nothing; returns new arrays.
+    """
+    genes = swap[..., _gene_to_group(groups)]
+    return np.where(genes, parent_b, parent_a), np.where(genes, parent_a, parent_b)
+
+
+@lru_cache(maxsize=8)
+def _gene_to_group(groups: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """Index of each gene's group, built once per grouping."""
+    index = np.empty(GENES, dtype=np.intp)
+    for group_index, group in enumerate(groups):
+        index[list(group)] = group_index
+    index.flags.writeable = False
+    return index
 
 
 def mutate(

@@ -63,8 +63,9 @@ class ContainmentChecker:
         self._dims = dims
         self._samples = samples_per_stick
         self._min_fraction = min_inside_fraction
-        # Cached sampling offsets: `check` runs once per offspring
-        # attempt, so per-call setup must be nil.
+        # Cached sampling offsets: the GA calls `check` thousands of
+        # times per frame, mostly on a few rows, so per-call setup must
+        # be nil.
         if samples_per_stick == 1:
             self._ts = np.array([0.5])
         else:
@@ -117,7 +118,8 @@ class ContainmentChecker:
         coded silhouette.  Index arithmetic stays in float64 (the
         rounded coordinates are integral and tiny, so it is exact) and
         clamps onto the zero border, so the whole test is a handful of
-        ufunc calls — this runs once per offspring attempt.
+        ufunc calls — the GA runs it on a few rows at a time, thousands
+        of times per frame.
         """
         population = segments.shape[0]
         starts = segments[:, :, None, 0, :]  # (P, 8, 1, 2)

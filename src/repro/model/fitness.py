@@ -174,9 +174,12 @@ class SilhouetteFitness:
             dists = geometry._segment_distances_fast(self._points, flat)
             dists = dists.reshape(num_points, block.shape[0], NUM_STICKS)
             normalised = dists / self._thickness[None, None, :]
-            scores[start : start + block.shape[0]] = _row_means(
-                normalised.min(axis=2)
-            )
+            # Stick by stick rather than `min(axis=2)`: the same minima
+            # (min is exact), several times faster over an axis of 8.
+            minima = np.minimum(normalised[..., 0], normalised[..., 1])
+            for stick in range(2, NUM_STICKS):
+                np.minimum(minima, normalised[..., stick], out=minima)
+            scores[start : start + block.shape[0]] = _row_means(minima)
         return scores
 
     def _evaluate_float32(self, segments: np.ndarray, chunk: int) -> np.ndarray:

@@ -206,9 +206,9 @@ def forward_kinematics(genes: np.ndarray, dims: BodyDimensions) -> np.ndarray:
 
     centers = genes[:, :2]  # (P, 2)
     # Inlined `direction`: write sin/cos straight into the output
-    # layout instead of stacking — this runs once per offspring
-    # containment check, mostly with P == 1, where the fixed overhead
-    # of extra allocations dominates.
+    # layout instead of stacking — this runs for every containment
+    # check of a bred child, mostly with P of 1 to 9, where the fixed
+    # overhead of extra allocations dominates.
     rad = np.deg2rad(genes[:, 2:])
     dirs = np.empty((population, NUM_STICKS, 2), dtype=np.float64)
     np.sin(rad, out=dirs[:, :, 0])

@@ -116,3 +116,9 @@ class TestOptimisation:
     def test_bad_population_shape(self, rng):
         with pytest.raises(ConfigurationError):
             GeneticAlgorithm().run(np.zeros((5, 7)), _sphere(np.zeros(GENES)), rng=rng)
+
+    def test_empty_population(self, rng):
+        with pytest.raises(ConfigurationError, match="empty"):
+            GeneticAlgorithm().run(
+                np.empty((0, GENES)), _sphere(np.zeros(GENES)), rng=rng
+            )

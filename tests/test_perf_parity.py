@@ -11,6 +11,8 @@ checked against them:
   every chromosome, in-frame or not;
 * the inline CDF selection draws the same parents from the same RNG
   stream as ``rng.choice``;
+* breeding a child with read-ahead attempts returns the same child
+  and leaves the generator in the same state as one attempt at a time;
 * a fitness row scores the same bits alone, in any batch and under any
   chunk width, so the per-silhouette score table answers exactly what
   the kernel would compute;
@@ -29,6 +31,7 @@ import numpy as np
 import pytest
 
 from repro.ga.engine import GAConfig, GeneticAlgorithm
+from repro.ga.operators import OperatorConfig, mutate, singleton_groups
 from repro.model import geometry
 from repro.model.containment import ContainmentChecker
 from repro.model.fitness import FitnessConfig, SilhouetteFitness
@@ -125,6 +128,24 @@ def reference_pick_parents(ga, rng, weights, cdf):
     return pa, pb
 
 
+def reference_make_child(ga, parent_a, parent_b, validity_fn, rng):
+    """``GeneticAlgorithm._make_child`` one attempt, and one check, at a
+    time, with the crossover's original one scalar draw per group."""
+    ops = ga.config.operators
+    for _ in range(ga.config.offspring_attempts):
+        child_a = np.array(parent_a, dtype=np.float64, copy=True)
+        child_b = np.array(parent_b, dtype=np.float64, copy=True)
+        for group in ops.gene_groups:
+            if rng.random() < ops.crossover_rate:
+                idx = list(group)
+                child_a[idx], child_b[idx] = child_b[idx].copy(), child_a[idx].copy()
+        child = child_a if rng.random() < 0.5 else child_b
+        child = mutate(child, ops, rng)
+        if validity_fn is None or bool(validity_fn(child[None, :])[0]):
+            return child
+    return None
+
+
 def _setup():
     pose = StickPose.standing(60.0, 50.0)
     mask = person_mask_for_pose(pose, BODY, SHAPE)
@@ -218,6 +239,76 @@ class TestSelectionParity:
         assert rng_a.random() == rng_b.random()
 
 
+def _generator(kind, seed):
+    if kind == "mt19937":
+        return np.random.Generator(np.random.MT19937(seed))
+    if kind == "philox":
+        return np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if kind == "pcg64-buffered":
+        # An odd number of 32-bit draws leaves half a 64-bit output
+        # buffered, which the next `integers` draw reads first.
+        rng.integers(0, 10)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def _same_state(left, right):
+    """Bit-generator states equal, array entries (MT19937's key) too."""
+    if isinstance(left, dict):
+        return left.keys() == right.keys() and all(
+            _same_state(left[key], right[key]) for key in left
+        )
+    return np.array_equal(left, right)
+
+
+def _some_rows_valid(genes):
+    """A batch predicate that passes about a quarter of distinct rows."""
+    return np.modf(np.abs(genes).sum(axis=1) * 0.37)[0] < 0.25
+
+
+class TestBreedingParity:
+    @pytest.mark.parametrize(
+        "operators",
+        [
+            OperatorConfig(),
+            OperatorConfig(gene_groups=singleton_groups()),
+            OperatorConfig(crossover_rate=0.0),
+            OperatorConfig(crossover_rate=1.0),
+            OperatorConfig(mutation_rate=0.3),
+            OperatorConfig(mutation_rate=1.0),  # every attempt mutates
+        ],
+        ids=["default", "singleton-groups", "crossover-0", "crossover-1",
+             "mutation-0.3", "mutation-1"],
+    )
+    @pytest.mark.parametrize("attempts", [1, 3, 10])
+    @pytest.mark.parametrize(
+        "validity", [None, _some_rows_valid], ids=["no-check", "predicate"]
+    )
+    @pytest.mark.parametrize(
+        "kind", ["pcg64", "pcg64-buffered", "mt19937", "philox"]
+    )
+    def test_matches_one_attempt_at_a_time(self, operators, attempts, validity, kind):
+        ga = GeneticAlgorithm(
+            GAConfig(offspring_attempts=attempts, operators=operators)
+        )
+        for seed in range(40):
+            parents = np.random.default_rng(1000 + seed).uniform(0.0, 360.0, (2, 10))
+            rng_ref = _generator(kind, seed)
+            rng_new = _generator(kind, seed)
+            expected = reference_make_child(ga, *parents, validity, rng_ref)
+            child = ga._make_child(*parents, validity, rng_new)
+            if expected is None:
+                assert child is None
+            else:
+                assert child.dtype == np.float64
+                np.testing.assert_array_equal(child, expected)
+            assert _same_state(rng_new.bit_generator.state, rng_ref.bit_generator.state)
+            np.testing.assert_array_equal(
+                rng_new.integers(0, 1000, 3), rng_ref.integers(0, 1000, 3)
+            )
+
+
 def _stripped(analysis, drop_config=False):
     payload = analysis_to_dict(analysis)
     payload.pop("trace", None)  # timings differ run to run
@@ -289,7 +380,13 @@ class TestEndToEndParity:
         optimized = _stripped(_analyze(config, jump, annotation), drop_config=True)
 
         legacy_config = dataclasses.replace(config, parallel=ParallelConfig())
-        calls = {"distances": 0, "fitness": 0, "containment": 0, "selection": 0}
+        calls = {
+            "distances": 0,
+            "fitness": 0,
+            "containment": 0,
+            "selection": 0,
+            "breeding": 0,
+        }
 
         def counted(name, fn):
             def wrapper(*args):
@@ -313,6 +410,11 @@ class TestEndToEndParity:
             GeneticAlgorithm,
             "_pick_parents",
             counted("selection", reference_pick_parents),
+        )
+        monkeypatch.setattr(
+            GeneticAlgorithm,
+            "_make_child",
+            counted("breeding", reference_make_child),
         )
         legacy = _stripped(
             _analyze(legacy_config, jump, annotation), drop_config=True
