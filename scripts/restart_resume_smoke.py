@@ -1,5 +1,5 @@
 """Restart-resume smoke: SIGKILL the service mid-job, restart, assert
-the job resumes from its checkpoint and finishes with a report.
+the job re-runs from its input spool and finishes with a report.
 
 The CI counterpart of the `kill_worker_mid_job` ops-chaos scenario,
 run against the real process boundary: a served `slj serve

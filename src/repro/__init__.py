@@ -188,14 +188,7 @@ from .client import (
     ServiceClient,
     ServiceError,
 )
-from .resilience import (
-    CHECKPOINT_STAGES,
-    CircuitBreaker,
-    JobCheckpointer,
-    ServiceLifecycle,
-    StageCheckpoint,
-    Watchdog,
-)
+from .resilience import CircuitBreaker, ServiceLifecycle, Watchdog
 from .video import VideoSequence
 from .video.synthesis import (
     JumpParameters,
@@ -317,13 +310,10 @@ __all__ = [
     "SharedDirectoryBackend",
     "SingleProcessBackend",
     "StreamIdleTimeout",
-    "CHECKPOINT_STAGES",
     "CircuitBreaker",
     "CircuitOpen",
-    "JobCheckpointer",
     "RetryPolicy",
     "ServiceLifecycle",
-    "StageCheckpoint",
     "Watchdog",
     "ServiceClient",
     "ServiceConfig",

@@ -892,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="crash-safe state directory: persists the job store and "
-        "stage checkpoints there, so interrupted jobs resume after a "
+        "each job's inputs there, so interrupted jobs re-run after a "
         "restart instead of failing",
     )
     p_serve.add_argument(

@@ -7,9 +7,8 @@ mid-stream, a worker wedging past the watchdog, a drain under load and
 a circuit breaker tripping and recovering.  Each scenario is an
 in-process simulation of the corresponding process-level failure
 (crash points are simulated at exactly the state a killed process
-leaves behind: persisted store + input spool + stage checkpoints), so
-the sweep is deterministic and runs in CI without orchestrating real
-processes.
+leaves behind: persisted store + input spool), so the sweep is
+deterministic and runs in CI without orchestrating real processes.
 
 The gate is stricter than survival alone: every scenario also asserts
 **zero leaked pool slots** — after the dust settles the worker pool
@@ -20,6 +19,7 @@ when the survival rate drops below ``--min-survival``.
 
 from __future__ import annotations
 
+import base64
 import shutil
 import tempfile
 import time
@@ -32,7 +32,9 @@ import numpy as np
 from ..errors import CircuitOpen, ReproError
 from ..jobs import JobManager, JobsConfig, JobStore
 from ..perf.pool import WorkerPool
-from ..resilience import JobCheckpointer, spool_input
+from ..resilience import spool_input
+from ..runtime import Instrumentation
+from ..runtime.instrumentation import SpanEvent
 from ..serialization import annotation_to_dict
 
 #: Scenario names, in sweep order.
@@ -51,30 +53,25 @@ class _SimulatedKill(BaseException):
     A ``BaseException`` on purpose: it must tunnel through the
     pipeline's ``except Exception`` recovery layers exactly like a real
     kill signal tears through them, leaving the on-disk state (store
-    snapshot, spool, checkpoints) as the only witness.
+    snapshot, spool) as the only witness.
     """
 
 
-class _KillingCheckpointer:
-    """Checkpointer wrapper that "kills the process" after one stage.
+class _KillingSink:
+    """Instrumentation sink that "kills the process" after one stage.
 
-    Delegates everything to the real :class:`JobCheckpointer`, then
-    raises :class:`_SimulatedKill` right after the configured stage's
-    checkpoint hits disk — the exact instant a crash is most
-    interesting (state persisted, job unfinished).
+    Sinks emit synchronously, inside the run, so raising
+    :class:`_SimulatedKill` as the configured stage's span closes tears
+    the pipeline down with the stage's work done and the job
+    unfinished — the instant a crash discards the most work.
     """
 
-    def __init__(self, inner: JobCheckpointer, kill_after: str) -> None:
-        self._inner = inner
+    def __init__(self, kill_after: str) -> None:
         self._kill_after = kill_after
 
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
-
-    def __call__(self, stage: str, value: Any, context: Any) -> None:
-        self._inner(stage, value, context)
-        if stage == self._kill_after:
-            raise _SimulatedKill(f"simulated kill after {stage!r}")
+    def emit(self, event: SpanEvent) -> None:
+        if event.kind == "span" and event.name == self._kill_after:
+            raise _SimulatedKill(f"simulated kill after {event.name!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,9 +228,9 @@ def run_ops_chaos(
     """Run every operational chaos scenario and collect the outcomes.
 
     ``video``/``annotation``/``config`` mirror :func:`run_chaos`;
-    ``state_root`` (a scratch directory for store snapshots, spools and
-    checkpoints) defaults to a temp dir removed afterwards.  Scenario
-    errors are recorded as non-survivals, never propagated.
+    ``state_root`` (a scratch directory for store snapshots and spools)
+    defaults to a temp dir removed afterwards.  Scenario errors are
+    recorded as non-survivals, never propagated.
     """
     owns_root = state_root is None
     root = Path(state_root or tempfile.mkdtemp(prefix="slj-ops-chaos-"))
@@ -279,18 +276,19 @@ def run_ops_chaos(
 def _scenario_kill_mid_job(
     video, annotation, config, seed: int, state: Path
 ) -> OpsFaultOutcome:
-    """SIGKILL a worker right after a stage checkpoint; restart; resume.
+    """SIGKILL a worker mid-job; restart; re-run from the input spool.
 
     Phase 1 reproduces the on-disk state of a killed process: the job
     persisted as ``running``, its inputs spooled, and the pipeline torn
-    down by :class:`_SimulatedKill` just after the segmentation
-    checkpoint.  Phase 2 boots a fresh manager over the same state and
-    asserts the job *resumes* and produces the same payload as an
-    uninterrupted run (modulo the wall-clock trace).
+    down by :class:`_SimulatedKill` just after the segmentation stage.
+    Phase 2 boots a fresh manager over the same state and asserts the
+    job *resumes* and produces the same payload as an uninterrupted
+    run (modulo the wall-clock trace).
     """
     from ..config import config_hash, config_to_dict
     from ..pipeline import JumpAnalyzer
     from ..serialization import analysis_payload
+    from ..service import encode_video
 
     state.mkdir(parents=True, exist_ok=True)
     persist = str(state / "jobs.json")
@@ -328,18 +326,16 @@ def _scenario_kill_mid_job(
         annotation=(
             None if annotation is None else annotation_to_dict(annotation)
         ),
-        frames=video.frames,
-    )
-    checkpointer = _KillingCheckpointer(
-        JobCheckpointer(checkpoints, job_id, resolved_hash),
-        kill_after="segmentation",
+        archive=base64.b64decode(encode_video(video)),
     )
     try:
         analyzer.analyze(
             video,
             annotation=annotation,
             rng=np.random.default_rng(seed),
-            checkpointer=checkpointer,
+            instrumentation=Instrumentation(
+                sink=_KillingSink("segmentation")
+            ),
         )
     except _SimulatedKill:
         pass
@@ -367,7 +363,7 @@ def _scenario_kill_mid_job(
             and final.get("resumed") is True
             and _payload_sans_trace(final.get("result") or {}) == reference
         )
-        detail = "resumed after kill; payload matches uninterrupted run"
+        detail = "re-ran from the spool after kill; payload matches uninterrupted run"
         if not survived:
             detail = (
                 f"state={final and final['state']}, "

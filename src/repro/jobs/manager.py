@@ -11,6 +11,7 @@ connection) — but no HTTP concerns: status codes live in
 
 from __future__ import annotations
 
+import base64
 import os
 import threading
 import uuid
@@ -23,12 +24,12 @@ from .models import JobsConfig, JobState
 from .store import JobStore
 from .stream import FrameQueue
 from .worker import JobWorkerPool
-from ..errors import ReproError, StreamError
+from ..errors import ConfigurationError, ReproError, StreamError
 from ..perf.pool import WorkerPool
 from ..resilience import (
     CircuitBreaker,
-    JobCheckpointer,
     Watchdog,
+    clear_spool,
     has_spool,
     load_input_frames,
     load_input_meta,
@@ -38,7 +39,12 @@ from ..resilience import (
     spool_stream_eof,
     stream_chunk_count,
 )
-from ..serialization import analysis_payload, annotation_to_dict
+from ..serialization import (
+    analysis_payload,
+    annotation_from_dict,
+    annotation_to_dict,
+)
+from ..video.sequence import VideoSequence
 
 
 class JobQueueFull(ReproError):
@@ -49,11 +55,11 @@ class JobManager:
     """Owns the job store and worker pool for one service instance.
 
     With ``config.checkpoint_dir`` the manager also owns crash safety:
-    submissions are spooled to disk, the pipeline checkpoints at stage
-    boundaries, restart survivors are re-queued (``resumed``) instead
-    of failed, and :meth:`recover` re-submits them.  The watchdog and
-    the per-config circuit breaker live here too — the service only
-    maps their refusals to status codes.
+    submissions are spooled to disk, restart survivors are re-queued
+    (``resumed``) instead of failed, and :meth:`recover` runs them
+    again from their spools.  The watchdog and the per-config circuit
+    breaker live here too — the service only maps their refusals to
+    status codes.
     """
 
     def __init__(
@@ -103,6 +109,7 @@ class JobManager:
             metrics=metrics,
             serializer=serializer,
             breaker=self.breaker,
+            spool_dir=config.checkpoint_dir,
         )
         self.watchdog = Watchdog(
             self.workers,
@@ -129,11 +136,6 @@ class JobManager:
     # ------------------------------------------------------------------
     # Crash-safety helpers
     # ------------------------------------------------------------------
-    def _checkpointer(self, job_id: str, config_hash: str) -> JobCheckpointer | None:
-        if not self.config.checkpoint_dir:
-            return None
-        return JobCheckpointer(self.config.checkpoint_dir, job_id, config_hash)
-
     @staticmethod
     def _analyzer_config_dict(analyzer: Any) -> dict[str, Any] | None:
         """The analyzer's resolved config as a dict, when it has one."""
@@ -148,22 +150,49 @@ class JobManager:
         analyzer: Any,
         annotation: Any,
         seed: int,
-        frames: Any = None,
+        video_npz_b64: str | None = None,
     ) -> None:
-        """Persist a submission's inputs (only with a checkpoint_dir)."""
-        if not self.config.checkpoint_dir:
+        """Persist a submission's inputs (only with a checkpoint_dir).
+
+        A failed write (disk full, read-only state dir) finishes the
+        just-created record ``failed`` before the ``OSError``
+        propagates: left ``submitted``, it would never run, never be
+        evicted and count against ``max_queued`` until a restart.
+        """
+        directory = self.config.checkpoint_dir
+        if not directory:
             return
-        spool_input(
-            self.config.checkpoint_dir,
-            job_id,
-            mode=mode,
-            seed=seed,
-            config=self._analyzer_config_dict(analyzer),
-            annotation=(
-                None if annotation is None else annotation_to_dict(annotation)
-            ),
-            frames=frames,
-        )
+        try:
+            spool_input(
+                directory,
+                job_id,
+                mode=mode,
+                seed=seed,
+                config=self._analyzer_config_dict(analyzer),
+                annotation=(
+                    None
+                    if annotation is None
+                    else annotation_to_dict(annotation)
+                ),
+                archive=(
+                    None
+                    if video_npz_b64 is None
+                    else base64.b64decode(video_npz_b64)
+                ),
+            )
+        except OSError as exc:
+            clear_spool(directory, job_id)
+            if self.store.shared:
+                self.store.adopt(job_id)
+            self.store.finish(
+                job_id,
+                JobState.FAILED,
+                error={
+                    "type": "SpoolFailed",
+                    "message": f"could not spool the job's inputs: {exc}",
+                },
+            )
+            raise
 
     # ------------------------------------------------------------------
     @contextmanager
@@ -198,9 +227,8 @@ class JobManager:
         replica's pool is free (fewer non-terminal local jobs than the
         pool width); then each of its ``items`` (``video``,
         ``annotation``, ``seed``, ``digest``) becomes one job, run here
-        and never enqueued, spooled or checkpointed, since after a
-        crash nobody could collect it.  Returns ``(job_id, future)``
-        per item, in order.
+        and never enqueued or spooled, since after a crash nobody could
+        collect it.  Returns ``(job_id, future)`` per item, in order.
         """
         job_ids = []
         with self._admitted(self._pool_width, config_hash, local=True):
@@ -231,24 +259,32 @@ class JobManager:
         seed: int = 0,
         digest: str = "",
         config_hash: str = "",
+        video_npz_b64: str | None = None,
     ) -> dict[str, Any]:
         """Admit one detached job and queue it; returns its payload.
 
         Raises :class:`JobQueueFull` when ``max_queued`` non-terminal
         jobs already exist — the job is *not* created, so a rejected
         submission leaves no trace.
+
+        With a ``checkpoint_dir`` the job's inputs are spooled first,
+        the video as ``video_npz_b64`` (the base64 ``.npz`` archive
+        ``video`` was decoded from, e.g. the request field) — required
+        then, since a restart or another replica re-runs the job from
+        it.  A failed spool write raises ``OSError``, with the job
+        already finished ``failed``.
         """
+        if self.config.checkpoint_dir and video_npz_b64 is None:
+            raise ConfigurationError(
+                "a spooled submission needs video_npz_b64, the archive "
+                "the job is re-run from after a restart"
+            )
         with self._admitted(self.config.max_queued, config_hash):
             payload = self.store.create(
                 digest or "0" * 10, seed=seed, config_hash=config_hash
             )
         self._spool_submission(
-            payload["id"],
-            "batch",
-            analyzer,
-            annotation,
-            seed,
-            frames=getattr(video, "frames", None),
+            payload["id"], "batch", analyzer, annotation, seed, video_npz_b64
         )
         if self.store.shared:
             # Shared store: the submission is published to the queue
@@ -262,7 +298,6 @@ class JobManager:
             video,
             annotation=annotation,
             seed=seed,
-            checkpointer=self._checkpointer(payload["id"], config_hash),
         )
         return payload
 
@@ -279,10 +314,11 @@ class JobManager:
     ) -> dict[str, Any]:
         """Admit one streaming job; frames arrive via :meth:`push_frames`.
 
-        Same :class:`JobQueueFull` admission rule as
-        :meth:`submit_analysis`.  The worker starts immediately and
-        waits on the job's bounded frame queue; a producer that never
-        sends ``eof`` fails the job after the configured idle timeout.
+        Same :class:`JobQueueFull` admission rule and spool-failure
+        ``OSError`` as :meth:`submit_analysis`.  The worker starts
+        immediately and waits on the job's bounded frame queue; a
+        producer that never sends ``eof`` fails the job after the
+        configured idle timeout.
         """
         with self._admitted(self.config.max_queued, config_hash):
             payload = self.store.create(
@@ -308,7 +344,6 @@ class JobManager:
             annotation=annotation,
             seed=seed,
             idle_timeout=self.config.stream_idle_timeout_seconds,
-            checkpointer=self._checkpointer(payload["id"], config_hash),
         )
         return payload
 
@@ -412,73 +447,78 @@ class JobManager:
         """Re-submit jobs the store restored as resumable.
 
         ``analyzer_factory`` maps a spooled config dict (or ``None``)
-        to an analyzer.  Batch jobs resume from their last completed
-        stage checkpoint; streaming jobs get a fresh frame queue and
-        replay their spooled chunks, so a reconnecting client can keep
-        pushing from ``frames_received``.  Jobs whose spool turns out
-        unreadable are failed cleanly as ``Interrupted`` rather than
-        left queued forever.  Returns the re-submitted job ids.
+        to an analyzer.  Each job is rebuilt from its input spool and
+        run again with its seed (see :meth:`_resubmit`), so a
+        reconnecting stream client can keep pushing from
+        ``frames_received``.  Returns the re-submitted job ids.
         """
-        directory = self.config.checkpoint_dir
-        if not directory or not self.config.resume_on_start:
+        if not self.config.checkpoint_dir or not self.config.resume_on_start:
             return []
         recovered: list[str] = []
         for payload in self.store.queued_jobs():
-            if not payload.get("resumed"):
-                continue
-            job_id = payload["id"]
-            meta = load_input_meta(directory, job_id)
-            if meta is None:
-                self._fail_unrecoverable(job_id, "input spool unreadable")
-                continue
-            annotation = None
-            if meta.get("annotation") is not None:
-                from ..serialization import annotation_from_dict
-
-                annotation = annotation_from_dict(meta["annotation"])
-            seed = int(meta.get("seed", 0))
-            analyzer = analyzer_factory(meta.get("config"))
-            checkpointer = self._checkpointer(
-                job_id, payload.get("config_hash", "")
-            )
-            if meta.get("mode") == "stream":
-                frames, eof = load_stream_spool(directory, job_id)
-                queue = FrameQueue(self.config.stream_queue_frames)
-                if eof:
-                    queue.close()
-                with self._streams_lock:
-                    self._streams[job_id] = queue
-                    self._chunk_counts[job_id] = stream_chunk_count(
-                        directory, job_id
-                    )
-                self.workers.submit_stream(
-                    job_id,
-                    analyzer,
-                    queue,
-                    annotation=annotation,
-                    seed=seed,
-                    idle_timeout=self.config.stream_idle_timeout_seconds,
-                    checkpointer=checkpointer,
-                    replay=frames,
-                    replay_eof=eof,
-                )
-            else:
-                frames_array = load_input_frames(directory, job_id)
-                if frames_array is None:
-                    self._fail_unrecoverable(job_id, "frame spool unreadable")
-                    continue
-                from ..video.sequence import VideoSequence
-
-                self.workers.submit(
-                    job_id,
-                    analyzer,
-                    VideoSequence(frames_array),
-                    annotation=annotation,
-                    seed=seed,
-                    checkpointer=checkpointer,
-                )
-            recovered.append(job_id)
+            if payload.get("resumed") and self._resubmit(
+                payload["id"], analyzer_factory
+            ):
+                recovered.append(payload["id"])
         return recovered
+
+    def _resubmit(
+        self,
+        job_id: str,
+        analyzer_factory: Callable[[dict[str, Any] | None], Any],
+    ) -> bool:
+        """Rebuild one job from its input spool and hand it to the workers.
+
+        The analysis is a deterministic function of the spooled video
+        (or stream chunks), annotation, config and seed, so the re-run
+        reproduces the interrupted run's payload.  A streaming job gets
+        a fresh frame queue and replays its spooled chunks first.  A
+        job whose spool turns out unreadable is failed cleanly as
+        ``Interrupted`` rather than left queued forever; returns
+        whether the job was submitted.
+        """
+        directory = self.config.checkpoint_dir
+        meta = load_input_meta(directory, job_id)
+        if meta is None:
+            self._fail_unrecoverable(job_id, "input spool unreadable")
+            return False
+        annotation = None
+        if meta.get("annotation") is not None:
+            annotation = annotation_from_dict(meta["annotation"])
+        seed = int(meta.get("seed", 0))
+        if meta.get("mode") == "stream":
+            frames, eof = load_stream_spool(directory, job_id)
+            queue = FrameQueue(self.config.stream_queue_frames)
+            if eof:
+                queue.close()
+            with self._streams_lock:
+                self._streams[job_id] = queue
+                self._chunk_counts[job_id] = stream_chunk_count(
+                    directory, job_id
+                )
+            self.workers.submit_stream(
+                job_id,
+                analyzer_factory(meta.get("config")),
+                queue,
+                annotation=annotation,
+                seed=seed,
+                idle_timeout=self.config.stream_idle_timeout_seconds,
+                replay=frames,
+                replay_eof=eof,
+            )
+            return True
+        video = load_input_frames(directory, job_id)
+        if video is None:
+            self._fail_unrecoverable(job_id, "frame spool unreadable")
+            return False
+        self.workers.submit(
+            job_id,
+            analyzer_factory(meta.get("config")),
+            VideoSequence(video),
+            annotation=annotation,
+            seed=seed,
+        )
+        return True
 
     # ------------------------------------------------------------------
     # Shared-queue draining (store_dir mode)
@@ -490,9 +530,9 @@ class JobManager:
 
         No-op (returns False) without a shared backend.  The loop polls
         ``claim_next`` every ``store_drain_interval_seconds``; each
-        claimed job is rebuilt from its input spool — exactly the
-        :meth:`recover` reconstruction — and handed to this replica's
-        worker pool.
+        claimed job is rebuilt from its input spool by
+        :meth:`_resubmit`, as :meth:`recover` rebuilds restart
+        survivors, and handed to this replica's worker pool.
         """
         if not self.store.shared or self._drain_thread is not None:
             return False
@@ -533,33 +573,7 @@ class JobManager:
             # Cancelled (or otherwise resolved) while queued — the
             # claim is consumed but nothing runs.
             return None
-        directory = self.config.checkpoint_dir
-        meta = load_input_meta(directory, job_id) if directory else None
-        if meta is None:
-            self._fail_unrecoverable(job_id, "input spool unreadable")
-            return None
-        frames_array = load_input_frames(directory, job_id)
-        if frames_array is None:
-            self._fail_unrecoverable(job_id, "frame spool unreadable")
-            return None
-        annotation = None
-        if meta.get("annotation") is not None:
-            from ..serialization import annotation_from_dict
-
-            annotation = annotation_from_dict(meta["annotation"])
-        from ..video.sequence import VideoSequence
-
-        self.workers.submit(
-            job_id,
-            analyzer_factory(meta.get("config")),
-            VideoSequence(frames_array),
-            annotation=annotation,
-            seed=int(meta.get("seed", 0)),
-            checkpointer=self._checkpointer(
-                job_id, payload.get("config_hash", "")
-            ),
-        )
-        return job_id
+        return job_id if self._resubmit(job_id, analyzer_factory) else None
 
     def _fail_unrecoverable(self, job_id: str, reason: str) -> None:
         self.store.mark_running(job_id)

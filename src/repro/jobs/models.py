@@ -81,9 +81,10 @@ class JobsConfig:
     # A running stream job that sees no frame and no eof for this long
     # fails (freeing its pool slot) instead of waiting forever.
     stream_idle_timeout_seconds: float = 30.0
-    # Directory for input spools and per-stage checkpoints (see
-    # repro.resilience.checkpoint).  None (default) disables both:
-    # jobs interrupted by a restart keep failing as ``Interrupted``.
+    # Directory for job input spools (see repro.resilience.spool),
+    # one ``<job_id>/`` each; a restart re-runs a spooled job from it.
+    # None (default) disables spooling: jobs interrupted by a restart
+    # fail as ``Interrupted``.
     checkpoint_dir: str | None = None
     # With a checkpoint_dir, re-submit interrupted jobs automatically
     # when the service starts (JobManager.recover).

@@ -20,7 +20,7 @@ so one reentrant lock serialises the whole lifecycle.
   included) survive a restart.  Jobs caught mid-flight are restored as
   ``failed`` with an ``Interrupted`` error — unless the owner passes a
   ``resumable`` predicate (the manager's input-spool check, see
-  :mod:`repro.resilience.checkpoint`) that recognises them, in which
+  :mod:`repro.resilience.spool`) that recognises them, in which
   case they are re-queued as ``submitted`` with ``resumed`` set and
   picked up by :meth:`~repro.jobs.manager.JobManager.recover`.
 """
@@ -600,9 +600,8 @@ class JobStore:
             if not job.terminal:
                 if self._resumable(job.id):
                     # The inputs were spooled: re-queue instead of
-                    # failing.  Progress restarts from zero (a resumed
-                    # run may skip checkpointed stages, but the sink
-                    # rebuilds the progress block either way).
+                    # failing.  The job re-runs from its spool, so
+                    # progress restarts from zero.
                     job.state = JobState.SUBMITTED
                     job.started_at = None
                     job.progress = {

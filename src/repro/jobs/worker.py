@@ -18,12 +18,18 @@ import numpy as np
 
 from .models import JobState
 from .store import JobStore
-from .stream import FrameQueue, StreamIdleTimeout
+from .stream import FrameQueue
 from ..errors import CancelledError, ReproError
 from ..perf.pool import WorkerPool
+from ..resilience import clear_spool
 from ..runtime import CancellationToken, Instrumentation
 from ..runtime.instrumentation import SpanEvent
 from ..serialization import analysis_payload
+
+#: What a job runs between ``mark_running`` and ``finish``: called with
+#: the job's progress-reporting instrumentation and its cancellation
+#: token, it returns the analysis the serializer turns into the result.
+JobBody = Callable[[Instrumentation, CancellationToken], Any]
 
 
 class JobProgressSink:
@@ -62,6 +68,9 @@ class JobWorkerPool:
     stages without poisoning the pool: the worker catches the resulting
     :class:`~repro.errors.CancelledError`, records the terminal state,
     and returns its thread to the pool clean.
+
+    ``spool_dir`` is the manager's ``checkpoint_dir``: a job's input
+    spool under it is deleted once the job is terminal.
     """
 
     def __init__(
@@ -71,12 +80,14 @@ class JobWorkerPool:
         metrics: Any | None = None,
         serializer: Callable[[Any], dict[str, Any]] = analysis_payload,
         breaker: Any | None = None,
+        spool_dir: str | None = None,
     ) -> None:
         self._pool = pool
         self._store = store
         self._metrics = metrics
         self._serializer = serializer
         self._breaker = breaker
+        self._spool_dir = spool_dir
         self._lock = threading.Lock()
         self._tokens: dict[str, CancellationToken] = {}
         self._reaped: set[str] = set()  # watchdog-reaped, thread zombie
@@ -89,27 +100,26 @@ class JobWorkerPool:
         video: Any,
         annotation: Any = None,
         seed: int = 0,
-        checkpointer: Any = None,
     ) -> Future:
         """Queue one job; returns its pool future at once.
 
-        The future resolves (to ``None``) when :meth:`_run` returns, by
-        which time the job's record is terminal; a client waiting on it
+        The future resolves (to ``None``) when the job's run returns,
+        by which time its record is terminal; a client waiting on it
         reads the outcome from the store.
         """
-        token = CancellationToken()
-        with self._lock:
-            self._tokens[job_id] = token
-        return self._pool.submit(
-            self._run,
-            job_id,
-            analyzer,
-            video,
-            annotation,
-            seed,
-            token,
-            checkpointer,
-        )
+
+        def body(
+            instrumentation: Instrumentation, token: CancellationToken
+        ) -> Any:
+            return analyzer.analyze(
+                video,
+                annotation=annotation,
+                rng=np.random.default_rng(seed),
+                instrumentation=instrumentation,
+                cancel_token=token,
+            )
+
+        return self._submit(job_id, analyzer, body)
 
     def submit_stream(
         self,
@@ -119,7 +129,6 @@ class JobWorkerPool:
         annotation: Any = None,
         seed: int = 0,
         idle_timeout: float = 30.0,
-        checkpointer: Any = None,
         replay: list[Any] | None = None,
         replay_eof: bool = False,
     ) -> None:
@@ -131,22 +140,59 @@ class JobWorkerPool:
         the queue is drained after.  ``replay_eof`` means the producer
         already signalled end-of-frames, so the job finishes from the
         replay alone, no client required.
+
+        Beyond the batch lifecycle, a stream fails with
+        :class:`~repro.jobs.stream.StreamIdleTimeout` when no frame and
+        no eof arrive for ``idle_timeout`` seconds (never a leaked pool
+        slot), and a cancel closes the queue, so the token raises at
+        the next push or at finish.  The queue is closed whichever way
+        the job ends.
         """
+        store = self._store
+
+        def body(
+            instrumentation: Instrumentation, token: CancellationToken
+        ) -> Any:
+            stream = analyzer.open_stream(
+                annotation=annotation,
+                rng=np.random.default_rng(seed),
+                instrumentation=instrumentation,
+                cancel_token=token,
+            )
+            for frame in replay or ():
+                update = stream.push_frame(frame)
+                store.record_frames(job_id, 1)
+                store.set_provisional(job_id, self._stream_progress(update))
+            if replay_eof:
+                store.mark_eof(job_id)
+            else:
+                while True:
+                    frame = frames.get(timeout=idle_timeout)
+                    if frame is None:  # eof (or a cancel closed the queue)
+                        break
+                    update = stream.push_frame(frame)
+                    store.set_provisional(
+                        job_id, self._stream_progress(update)
+                    )
+            token.raise_if_cancelled("finish")
+            return stream.finish()
+
+        # Further pushes answer "stream closed".
+        self._submit(job_id, analyzer, body, on_exit=frames.close)
+
+    def _submit(
+        self,
+        job_id: str,
+        analyzer: Any,
+        body: JobBody,
+        on_exit: Callable[[], None] | None = None,
+    ) -> Future:
+        """Register the job's token and queue its :meth:`_run`."""
         token = CancellationToken()
         with self._lock:
             self._tokens[job_id] = token
-        self._pool.submit(
-            self._run_stream,
-            job_id,
-            analyzer,
-            frames,
-            annotation,
-            seed,
-            idle_timeout,
-            token,
-            checkpointer,
-            replay,
-            replay_eof,
+        return self._pool.submit(
+            self._run, job_id, analyzer, token, body, on_exit
         )
 
     def cancel(self, job_id: str) -> None:
@@ -226,33 +272,34 @@ class JobWorkerPool:
         if was_reaped:
             self._pool.release_reclaimed()
 
-    def _cleanup_state(self, job_id: str, checkpointer: Any) -> None:
-        """Drop a terminal job's checkpoint + spool (crash state only
-        matters for jobs that still have work left)."""
-        if checkpointer is None:
+    def _clear_spool(self, job_id: str) -> None:
+        """Drop a terminal job's input spool (crash state only matters
+        for jobs that still have work left)."""
+        if self._spool_dir is None:
             return
         payload = self._store.payload(job_id)
         if payload is not None and payload["state"] not in JobState.TERMINAL:
             return
-        try:
-            from ..resilience.checkpoint import clear_spool
+        clear_spool(self._spool_dir, job_id)
 
-            checkpointer.clear()
-            clear_spool(checkpointer.directory.parent, job_id)
-        except Exception:  # cleanup must never poison the pool thread
-            pass
+    def _fail(self, job_id: str, error_type: str, message: str) -> None:
+        if self._store.finish(
+            job_id,
+            JobState.FAILED,
+            error={"type": error_type, "message": message},
+        ):
+            self._report_outcome(job_id, success=False)
 
     # ------------------------------------------------------------------
     def _run(
         self,
         job_id: str,
         analyzer: Any,
-        video: Any,
-        annotation: Any,
-        seed: int,
         token: CancellationToken,
-        checkpointer: Any = None,
+        body: JobBody,
+        on_exit: Callable[[], None] | None,
     ) -> None:
+        """One job's lifecycle around ``body``, batch or stream alike."""
         store = self._store
         try:
             # A cancel that landed while the job sat in the queue is
@@ -272,19 +319,11 @@ class JobWorkerPool:
                     },
                 )
                 return
-            instrumentation = Instrumentation(
-                sink=JobProgressSink(store, job_id, stage_names)
-            )
-            # Stub analyzers (tests) keep their narrower signature; the
-            # checkpointer kwarg is only threaded when one exists.
-            extra = {"checkpointer": checkpointer} if checkpointer else {}
-            analysis = analyzer.analyze(
-                video,
-                annotation=annotation,
-                rng=np.random.default_rng(seed),
-                instrumentation=instrumentation,
-                cancel_token=token,
-                **extra,
+            analysis = body(
+                Instrumentation(
+                    sink=JobProgressSink(store, job_id, stage_names)
+                ),
+                token,
             )
             if self._metrics is not None and hasattr(analysis, "trace"):
                 self._metrics.observe_trace(analysis.trace)
@@ -303,22 +342,14 @@ class JobWorkerPool:
                 JobState.CANCELLED,
                 error={"type": "CancelledError", "message": str(exc)},
             )
-        except ReproError as exc:
-            if store.finish(
-                job_id,
-                JobState.FAILED,
-                error={"type": type(exc).__name__, "message": str(exc)},
-            ):
-                self._report_outcome(job_id, success=False)
+        except ReproError as exc:  # StreamIdleTimeout included
+            self._fail(job_id, type(exc).__name__, str(exc))
         except BaseException as exc:  # the pool thread must survive
-            if store.finish(
-                job_id,
-                JobState.FAILED,
-                error={"type": "InternalError", "message": str(exc)},
-            ):
-                self._report_outcome(job_id, success=False)
+            self._fail(job_id, "InternalError", str(exc))
         finally:
-            self._cleanup_state(job_id, checkpointer)
+            if on_exit is not None:
+                on_exit()
+            self._clear_spool(job_id)
             self._release(job_id)
 
     @staticmethod
@@ -336,114 +367,3 @@ class JobWorkerPool:
                 else None
             ),
         }
-
-    def _run_stream(
-        self,
-        job_id: str,
-        analyzer: Any,
-        frames: FrameQueue,
-        annotation: Any,
-        seed: int,
-        idle_timeout: float,
-        token: CancellationToken,
-        checkpointer: Any = None,
-        replay: list[Any] | None = None,
-        replay_eof: bool = False,
-    ) -> None:
-        """Drain the frame queue through a streaming analyzer.
-
-        Mirrors :meth:`_run`'s lifecycle and error mapping; the extra
-        exits are :class:`StreamIdleTimeout` (no frame and no eof →
-        ``failed``, never a leaked pool slot) and a queue closed by
-        cancellation (the token raises on the next push or at finish).
-        """
-        store = self._store
-        try:
-            if store.cancel_requested(job_id):
-                token.cancel()
-            stage_names = tuple(getattr(analyzer, "STAGES", ()))
-            if not store.mark_running(job_id, total_stages=len(stage_names)):
-                return  # cancelled pre-start or evicted
-            if token.cancelled:
-                store.finish(
-                    job_id,
-                    JobState.CANCELLED,
-                    error={
-                        "type": "CancelledError",
-                        "message": "job cancelled before it started",
-                    },
-                )
-                return
-            instrumentation = Instrumentation(
-                sink=JobProgressSink(store, job_id, stage_names)
-            )
-            extra = {"checkpointer": checkpointer} if checkpointer else {}
-            stream = analyzer.open_stream(
-                annotation=annotation,
-                rng=np.random.default_rng(seed),
-                instrumentation=instrumentation,
-                cancel_token=token,
-                **extra,
-            )
-            # Recovery replay: frames spooled before a restart rebuild
-            # the stream (received count, background model) before any
-            # newly pushed ones are consumed.
-            for frame in replay or ():
-                update = stream.push_frame(frame)
-                store.record_frames(job_id, 1)
-                store.set_provisional(job_id, self._stream_progress(update))
-            if replay_eof:
-                store.mark_eof(job_id)
-            else:
-                while True:
-                    frame = frames.get(timeout=idle_timeout)
-                    if frame is None:  # eof (or a cancel closed the queue)
-                        break
-                    update = stream.push_frame(frame)
-                    store.set_provisional(
-                        job_id, self._stream_progress(update)
-                    )
-            token.raise_if_cancelled("finish")
-            analysis = stream.finish()
-            if self._metrics is not None and hasattr(analysis, "trace"):
-                self._metrics.observe_trace(analysis.trace)
-            result = self._serializer(analysis)
-            if store.finish(
-                job_id,
-                JobState.SUCCEEDED,
-                result=result,
-                degraded=bool(result.get("degraded", False)),
-                degradation=result.get("degradation"),
-            ):
-                self._report_outcome(job_id, success=True)
-        except StreamIdleTimeout as exc:
-            if store.finish(
-                job_id,
-                JobState.FAILED,
-                error={"type": "StreamIdleTimeout", "message": str(exc)},
-            ):
-                self._report_outcome(job_id, success=False)
-        except CancelledError as exc:
-            store.finish(
-                job_id,
-                JobState.CANCELLED,
-                error={"type": "CancelledError", "message": str(exc)},
-            )
-        except ReproError as exc:
-            if store.finish(
-                job_id,
-                JobState.FAILED,
-                error={"type": type(exc).__name__, "message": str(exc)},
-            ):
-                self._report_outcome(job_id, success=False)
-        except BaseException as exc:  # the pool thread must survive
-            if store.finish(
-                job_id,
-                JobState.FAILED,
-                error={"type": "InternalError", "message": str(exc)},
-            ):
-                self._report_outcome(job_id, success=False)
-        finally:
-            frames.close()  # further pushes answer "stream closed"
-            self._cleanup_state(job_id, checkpointer)
-            self._release(job_id)

@@ -773,7 +773,6 @@ class JumpAnalyzer:
         rng: np.random.Generator | None = None,
         instrumentation: Instrumentation | None = None,
         cancel_token: "CancellationToken | None" = None,
-        checkpointer: Any = None,
     ):
         """Open a frame-at-a-time analysis (see :mod:`repro.streaming`).
 
@@ -784,11 +783,6 @@ class JumpAnalyzer:
         ``finish()`` calls :meth:`analyze`; a live stream steps
         :meth:`tracking_front` per frame and finishes through
         :meth:`finish_live`.
-
-        ``checkpointer`` (see :mod:`repro.resilience.checkpoint`)
-        applies to the batch path: a warmup-0 stream hands it to
-        :meth:`analyze`, which persists and resumes per-stage state
-        through it.
         """
         from .streaming import StreamingAnalyzer
 
@@ -798,7 +792,6 @@ class JumpAnalyzer:
             rng=rng,
             instrumentation=instrumentation,
             cancel_token=cancel_token,
-            checkpointer=checkpointer,
         )
 
     def analyze(
@@ -808,7 +801,6 @@ class JumpAnalyzer:
         rng: np.random.Generator | None = None,
         instrumentation: Instrumentation | None = None,
         cancel_token: "CancellationToken | None" = None,
-        checkpointer: Any = None,
     ) -> JumpAnalysis:
         """Run segmentation, tracking, event detection and scoring.
 
@@ -854,12 +846,12 @@ class JumpAnalyzer:
             # batch path below, as such a stream's finish() does, so
             # this cannot recurse.
             stream = self.open_stream(
-                annotation, rng, instrumentation, cancel_token, checkpointer
+                annotation, rng, instrumentation, cancel_token
             )
             stream.extend(video)
             return stream.finish()
         return self._analyze_window(
-            video, annotation, rng, instrumentation, cancel_token, checkpointer
+            video, annotation, rng, instrumentation, cancel_token
         )
 
     def finish_live(
@@ -912,16 +904,8 @@ class JumpAnalyzer:
         rng: np.random.Generator,
         instrumentation: Instrumentation,
         cancel_token: "CancellationToken | None",
-        checkpointer: Any = None,
     ) -> JumpAnalysis:
-        """The classic whole-sequence path: run all seven stages.
-
-        With a ``checkpointer``, a stage checkpoint left by a previous
-        (interrupted) run restores the pipeline value, the context
-        artifacts and the rng bit-generator state, and the runner skips
-        the completed prefix — so the resumed run draws the same random
-        stream and lands on the same report as an uninterrupted one.
-        """
+        """The classic whole-sequence path: run all seven stages."""
         context = StageContext(
             instrumentation=instrumentation,
             cancel_token=cancel_token,
@@ -929,29 +913,7 @@ class JumpAnalyzer:
         context.artifacts["annotation"] = annotation
         context.artifacts["rng"] = rng
         self._stamp_config(context)
-
-        value: Any = video
-        start_after: str | None = None
-        if checkpointer is not None:
-            checkpointer.set_multi_actor(self.config.tracking.enabled)
-            saved = checkpointer.load()
-            if saved is not None:
-                from .resilience.checkpoint import restore_rng
-
-                context.artifacts.update(saved.artifacts)
-                restore_rng(rng, saved.rng_state)
-                value = saved.value
-                start_after = saved.stage
-                instrumentation.count("resilience.resumes", 1)
-                instrumentation.event(
-                    "resilience/resumed", stage=saved.stage
-                )
-        outcome = self._runner.run(
-            value,
-            context=context,
-            start_after=start_after,
-            checkpoint=checkpointer,
-        )
+        outcome = self._runner.run(video, context=context)
         return self._analysis(outcome.context.artifacts, outcome.trace)
 
     @staticmethod

@@ -3,8 +3,8 @@
 The analysis pipeline learned to degrade-not-die in PR 3; this package
 gives the *process around it* the same property:
 
-* :mod:`~repro.resilience.checkpoint` — per-stage job checkpoints and
-  input spools, so a restart resumes work instead of failing it;
+* :mod:`~repro.resilience.spool` — job input spools, so a restart
+  re-runs interrupted work instead of failing it;
 * :mod:`~repro.resilience.drain` — graceful shutdown: refuse new work,
   finish in-flight jobs, persist the queue;
 * :mod:`~repro.resilience.watchdog` — soft per-job deadlines that reap
@@ -17,37 +17,29 @@ Ops-level fault injection for all of the above lives in
 """
 
 from .breaker import CircuitBreaker
-from .checkpoint import (
-    CHECKPOINT_STAGES,
-    JobCheckpointer,
-    StageCheckpoint,
+from .drain import ServiceLifecycle
+from .spool import (
     clear_spool,
     has_spool,
     load_input_frames,
     load_input_meta,
     load_stream_spool,
-    restore_rng,
     spool_input,
     spool_stream_chunk,
     spool_stream_eof,
     stream_chunk_count,
 )
-from .drain import ServiceLifecycle
 from .watchdog import Watchdog
 
 __all__ = [
-    "CHECKPOINT_STAGES",
     "CircuitBreaker",
-    "JobCheckpointer",
     "ServiceLifecycle",
-    "StageCheckpoint",
     "Watchdog",
     "clear_spool",
     "has_spool",
     "load_input_frames",
     "load_input_meta",
     "load_stream_spool",
-    "restore_rng",
     "spool_input",
     "spool_stream_chunk",
     "spool_stream_eof",

@@ -156,7 +156,6 @@ class PipelineRunner:
         instrumentation: Instrumentation | None = None,
         context: StageContext | None = None,
         start_after: str | None = None,
-        checkpoint: Any = None,
     ) -> RunOutcome:
         """Thread ``value`` through every stage and trace the run.
 
@@ -165,16 +164,10 @@ class PipelineRunner:
         collector across layers.  ``context`` may be pre-seeded with
         artifacts the first stage needs.
 
-        ``start_after`` resumes a previous run: stages up to and
-        including the named one are skipped, so ``value`` and the
-        pre-seeded ``context`` artifacts must be the restored outputs
-        of that prefix (see :mod:`repro.resilience.checkpoint`).
-
-        ``checkpoint`` is an optional callable invoked as
-        ``checkpoint(stage_name, value, context)`` after each stage
-        completes.  A checkpoint failure degrades (an event plus a
-        counter) rather than killing the run — persistence is an aid,
-        never a new failure mode.
+        ``start_after`` skips every stage up to and including the named
+        one, so ``value`` and the pre-seeded ``context`` artifacts must
+        be that prefix's outputs (the live and per-track tails run the
+        post-tracking stages this way).
         """
         if context is None:
             context = StageContext(
@@ -215,16 +208,6 @@ class PipelineRunner:
             stage_timings.append(
                 StageTiming(stage.name, time.perf_counter() - start)
             )
-            if checkpoint is not None:
-                try:
-                    checkpoint(stage.name, value, context)
-                except Exception as exc:
-                    inst.count("runtime.checkpoint_failures", 1)
-                    inst.event(
-                        "runtime/checkpoint_failed",
-                        stage=stage.name,
-                        error=type(exc).__name__,
-                    )
         total = time.perf_counter() - run_start
 
         if degradations:

@@ -410,6 +410,16 @@ class _Handler(BaseHTTPRequestHandler):
             error_type, message, status=status, headers={"Retry-After": str(seconds)}
         )
 
+    def _spool_failed(self, exc: OSError) -> _BadRequest:
+        """The 503 a submission gets when its inputs could not be spooled.
+
+        The manager already finished the job ``failed``; the state
+        directory may recover (space freed), so the client may retry.
+        """
+        return self._retry_later(
+            "spool_failed", f"could not persist the job's inputs: {exc}"
+        )
+
     def _draining(self) -> _BadRequest:
         """The 503 a submission gets while the service shuts down."""
         return self._retry_later(
@@ -614,12 +624,15 @@ class _Handler(BaseHTTPRequestHandler):
                 seed=parsed["seed"],
                 digest=_item_digest(parsed, resolved_hash),
                 config_hash=resolved_hash,
+                video_npz_b64=parsed["b64"],
             )
         except CircuitOpen as exc:
             raise self._circuit_open(exc)
         except JobQueueFull as exc:
             metrics.increment("service.jobs.rejected")
             raise self._retry_later("jobs_queue_full", str(exc))
+        except OSError as exc:
+            raise self._spool_failed(exc)
         metrics.increment("service.jobs.submitted")
         self._send_json(
             202,
@@ -661,6 +674,8 @@ class _Handler(BaseHTTPRequestHandler):
         except JobQueueFull as exc:
             metrics.increment("service.jobs.rejected")
             raise self._retry_later("jobs_queue_full", str(exc))
+        except OSError as exc:
+            raise self._spool_failed(exc)
         metrics.increment("service.jobs.submitted")
         metrics.increment("service.jobs.streams")
         self._send_json(
@@ -1176,8 +1191,7 @@ class ServiceHandle:
         """Analyzer for a recovered job, from its spooled config dict.
 
         An unreadable or stale config falls back to the server's shared
-        analyzer — the checkpoint's config-hash guard then forces a
-        clean re-run rather than resuming against the wrong config.
+        analyzer, which re-runs the job from its spool as any other.
         """
         if config_dict is None:
             return self._server.analyzer  # type: ignore[attr-defined]
@@ -1232,8 +1246,9 @@ class ServiceHandle:
         With ``drain=True`` the service first refuses new submissions
         and waits (up to the drain deadline) for in-flight jobs to
         finish.  Work still queued when the deadline passes is
-        cancelled; with a persisted store + checkpoint dir those jobs
-        stay ``submitted`` on disk and resume on the next start.
+        cancelled; with a persisted store and a spool directory
+        (``jobs.checkpoint_dir``) those jobs stay ``submitted`` on disk
+        and re-run from their spools on the next start.
         """
         if drain:
             self.drain(timeout=drain_timeout)
@@ -1268,9 +1283,9 @@ def serve(
     Ctrl-C (SIGINT) and SIGTERM both trigger a graceful drain: new
     submissions get 503 ``draining`` while in-flight jobs finish
     (bounded by ``service_config.drain_timeout_seconds``), then the
-    process exits.  With a persisted job store and a checkpoint
-    directory configured, jobs still queued at the deadline resume on
-    the next start.
+    process exits.  With a persisted job store and a spool directory
+    (``jobs.checkpoint_dir``) configured, jobs still queued at the
+    deadline re-run from their spools on the next start.
 
     ``procs > 1`` forks that many worker processes sharing one
     pre-bound listener socket (kernel-balanced ``accept``); each

@@ -133,14 +133,9 @@ class StreamingAnalyzer:
         rng: np.random.Generator | None = None,
         instrumentation: Instrumentation | None = None,
         cancel_token: CancellationToken | None = None,
-        checkpointer: Any = None,
     ) -> None:
         self._analyzer = analyzer
         self.config = analyzer.config
-        # Per-stage persistence for the batch finish path (live mode
-        # reconstructs state by frame replay instead — see
-        # repro.resilience.checkpoint).
-        self._checkpointer = checkpointer
         self._annotation = annotation
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._instrumentation = instrumentation or Instrumentation()
@@ -363,7 +358,6 @@ class StreamingAnalyzer:
                 rng=self._rng,
                 instrumentation=self._instrumentation,
                 cancel_token=self._cancel_token,
-                checkpointer=self._checkpointer,
             )
         if self._cancel_token is not None:
             self._cancel_token.raise_if_cancelled("finish")

@@ -26,6 +26,7 @@ from repro.jobs import (
     SingleProcessBackend,
 )
 from repro.perf.pool import WorkerPool
+from repro.service import encode_video
 from repro.video.sequence import VideoSequence
 
 
@@ -240,7 +241,9 @@ class TestTwoManagerDrain:
         b = _shared_manager(tmp_path)
         try:
             job_ids = [
-                a.submit_analysis(StubAnalyzer(), video, seed=i)["id"]
+                a.submit_analysis(
+                    StubAnalyzer(), video, seed=i, video_npz_b64=encode_video(video)
+                )["id"]
                 for i in range(10)
             ]
             factory = lambda degradation=None: StubAnalyzer()  # noqa: E731
@@ -279,7 +282,9 @@ class TestTwoManagerDrain:
             assert manager.start_drain(factory)
             assert not manager.start_drain(factory)  # already running
             job_ids = [
-                manager.submit_analysis(StubAnalyzer(), video, seed=i)["id"]
+                manager.submit_analysis(
+                    StubAnalyzer(), video, seed=i, video_npz_b64=encode_video(video)
+                )["id"]
                 for i in range(3)
             ]
             payloads = _wait_terminal(manager.store, job_ids)

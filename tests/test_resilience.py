@@ -1,10 +1,11 @@
-"""The crash-safe lifecycle: checkpoints, watchdog, breaker, drain.
+"""The crash-safe lifecycle: spool re-runs, watchdog, breaker, drain.
 
 Covers the :mod:`repro.resilience` primitives plus their wiring into
 the job subsystem and the service:
 
-* stage checkpoints round-trip and resume byte-identically (modulo the
-  wall-clock trace);
+* a job killed mid-run is re-run from its input spool after a restart
+  and lands on a payload identical to an uninterrupted run (modulo the
+  wall-clock trace), whatever point it was killed at;
 * the store restores restart survivors as resumable instead of failing
   them, keeping the no-spool ``Interrupted`` fallback;
 * the watchdog reaps wedged jobs without leaking pool slots, and loses
@@ -18,6 +19,7 @@ the job subsystem and the service:
 
 from __future__ import annotations
 
+import base64
 import json
 import threading
 import urllib.error
@@ -29,22 +31,24 @@ import pytest
 from repro.client import RetryPolicy, ServiceClient, ServiceError
 from repro.config import config_hash, config_to_dict, resolve_config
 from repro.errors import CircuitOpen, ReproError
+from repro.faults.ops import _wait_for
 from repro.jobs import JobManager, JobsConfig, JobState, JobStore
 from repro.jobs.stream import FrameQueue, StreamIdleTimeout
 from repro.jobs.worker import JobWorkerPool
 from repro.perf.pool import WorkerPool
-from repro.pipeline import JumpAnalyzer
+from repro.pipeline import AnalyzerConfig, JumpAnalyzer, multi_actor_config
 from repro.resilience import (
-    CHECKPOINT_STAGES,
     CircuitBreaker,
-    JobCheckpointer,
     ServiceLifecycle,
     Watchdog,
     has_spool,
     spool_input,
 )
+from repro.runtime import Instrumentation
 from repro.serialization import analysis_payload, annotation_to_dict
+from repro.service import encode_video
 from repro.model.annotation import simulate_human_annotation
+from repro.video.sequence import VideoSequence
 
 
 class FakeClock:
@@ -62,20 +66,53 @@ class _SimulatedKill(BaseException):
     """BaseException so it tunnels through recovery like a real kill."""
 
 
-class KillAfter:
-    """Checkpointer wrapper raising :class:`_SimulatedKill` after a stage."""
+class KillAt:
+    """Instrumentation sink raising :class:`_SimulatedKill` at one point.
 
-    def __init__(self, inner: JobCheckpointer, stage: str) -> None:
-        self._inner = inner
-        self._stage = stage
+    Sinks emit synchronously, inside the run: ``("span", name)`` kills
+    as the first span of that name closes, ``("stage_start", stage)``
+    as the runner starts that stage.
+    """
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
+    def __init__(self, kind: str, name: str) -> None:
+        self._kind = kind
+        self._name = name
 
-    def __call__(self, stage, value, context) -> None:
-        self._inner(stage, value, context)
-        if stage == self._stage:
-            raise _SimulatedKill(stage)
+    def emit(self, event) -> None:
+        if self._kind == "span":
+            hit = event.kind == "span" and event.name == self._name
+        else:
+            hit = (
+                event.kind == "event"
+                and event.name == "runtime/stage_start"
+                and event.field_dict().get("stage") == self._name
+            )
+        if hit:
+            raise _SimulatedKill(f"{self._kind} {self._name}")
+
+
+#: Where a crash interrupts the run: with segmentation done, one GA
+#: frame into tracking, and with tracking done.
+KILL_POINTS = {
+    "segmentation_span": ("span", "segmentation"),
+    "first_tracking_frame": ("span", "tracking/frame"),
+    "scoring_start": ("stage_start", "scoring"),
+}
+
+
+def _setup(analyzer, video, annotation):
+    """One recovery scenario's inputs and its uninterrupted payload."""
+    reference = analysis_payload(
+        analyzer.analyze(video, annotation=annotation, rng=np.random.default_rng(5))
+    )
+    reference.pop("trace", None)
+    return {
+        "analyzer": analyzer,
+        "video": video,
+        "annotation": annotation,
+        "reference": reference,
+        "hash": config_hash(config_to_dict(analyzer.config)),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -95,104 +132,51 @@ def fast_setup(fast_config):
         mask=jump.person_masks[0],
         rng=np.random.default_rng(5),
     )
-    analyzer = JumpAnalyzer(fast_config)
-    reference = analysis_payload(
-        analyzer.analyze(
-            jump.video, annotation=annotation, rng=np.random.default_rng(5)
-        )
+    return _setup(JumpAnalyzer(fast_config), jump.video, annotation)
+
+
+@pytest.fixture(scope="module")
+def two_actor_setup(fast_config):
+    """The ``fast`` preset tracking two jumpers, no annotation."""
+    from repro.video.synthesis import MultiActorJumpConfig, synthesize_multi_jump
+
+    scene = synthesize_multi_jump(MultiActorJumpConfig(seed=0, actors=2))
+    analyzer = JumpAnalyzer(multi_actor_config(fast_config, actors=2))
+    return _setup(analyzer, scene.video, None)
+
+
+def _spool_batch(directory, job_id: str, setup) -> None:
+    """Spool ``setup``'s job as the service does at submit time."""
+    annotation = setup["annotation"]
+    spool_input(
+        directory,
+        job_id,
+        mode="batch",
+        seed=5,
+        config=config_to_dict(setup["analyzer"].config),
+        annotation=None if annotation is None else annotation_to_dict(annotation),
+        archive=base64.b64decode(encode_video(setup["video"])),
     )
-    reference.pop("trace", None)
-    return {
-        "analyzer": analyzer,
-        "video": jump.video,
-        "annotation": annotation,
-        "reference": reference,
-        "hash": config_hash(config_to_dict(analyzer.config)),
-    }
+
+
+def _rerun_factory(config_dict):
+    """What the service does with a spooled config: rebuild the analyzer."""
+    return JumpAnalyzer(AnalyzerConfig.from_dict(config_dict))
 
 
 # ----------------------------------------------------------------------
-# Checkpoints + resume
+# Input spools
 # ----------------------------------------------------------------------
-class TestJobCheckpointer:
-    def test_checkpoint_stages_are_the_expensive_prefix(self):
-        assert CHECKPOINT_STAGES == ("segmentation", "annotation", "tracking")
-
-    def test_round_trip_restores_last_stage(self, tmp_path, fast_setup):
-        ckpt = JobCheckpointer(tmp_path, "job-1", fast_setup["hash"])
-        fast_setup["analyzer"].analyze(
-            fast_setup["video"],
-            annotation=fast_setup["annotation"],
-            rng=np.random.default_rng(5),
-            checkpointer=ckpt,
-        )
-        assert ckpt.writes == len(CHECKPOINT_STAGES)
-        saved = ckpt.load()
-        assert saved is not None
-        assert saved.stage == "tracking"
-        assert saved.config_hash == fast_setup["hash"]
-        assert "tracking" in saved.artifacts
-        ckpt.clear()
-        assert ckpt.load() is None
-
-    def test_config_hash_mismatch_forces_clean_rerun(
-        self, tmp_path, fast_setup
-    ):
-        ckpt = JobCheckpointer(tmp_path, "job-2", fast_setup["hash"])
-        fast_setup["analyzer"].analyze(
-            fast_setup["video"],
-            annotation=fast_setup["annotation"],
-            rng=np.random.default_rng(5),
-            checkpointer=ckpt,
-        )
-        other = JobCheckpointer(tmp_path, "job-2", "different-hash")
-        assert other.load() is None
-
-    def test_torn_checkpoint_is_ignored(self, tmp_path, fast_setup):
-        ckpt = JobCheckpointer(tmp_path, "job-3", fast_setup["hash"])
-        fast_setup["analyzer"].analyze(
-            fast_setup["video"],
-            annotation=fast_setup["annotation"],
-            rng=np.random.default_rng(5),
-            checkpointer=ckpt,
-        )
-        # A crash between the npz and the JSON commit marker leaves
-        # arrays without meta (or vice versa); both read as "none".
-        (ckpt.directory / "checkpoint.npz").unlink()
-        assert ckpt.load() is None
-
-    @pytest.mark.parametrize("kill_after", ["segmentation", "tracking"])
-    def test_resume_matches_uninterrupted_run(
-        self, tmp_path, fast_setup, kill_after
-    ):
-        """A job killed after stage k resumes to an identical payload."""
-        ckpt = JobCheckpointer(tmp_path, "job-4", fast_setup["hash"])
-        with pytest.raises(_SimulatedKill):
-            fast_setup["analyzer"].analyze(
-                fast_setup["video"],
-                annotation=fast_setup["annotation"],
-                rng=np.random.default_rng(5),
-                checkpointer=KillAfter(ckpt, kill_after),
-            )
-        assert ckpt.load() is not None
-        resumed = analysis_payload(
-            fast_setup["analyzer"].analyze(
-                fast_setup["video"],
-                annotation=fast_setup["annotation"],
-                rng=np.random.default_rng(5),
-                checkpointer=ckpt,
-            )
-        )
-        resumed.pop("trace", None)
-        assert resumed == fast_setup["reference"]
-
-
 class TestSpool:
     def test_spool_presence_is_the_resume_predicate(self, tmp_path):
         assert not has_spool(tmp_path, "job-9")
+        archive = base64.b64decode(
+            encode_video(VideoSequence(np.zeros((2, 4, 4, 3))))
+        )
         spool_input(tmp_path, "job-9", mode="batch", seed=3, config=None,
-                    annotation=None, frames=np.zeros((2, 4, 4, 3)))
+                    annotation=None, archive=archive)
         assert has_spool(tmp_path, "job-9")
+        assert (tmp_path / "job-9" / "input.npz").read_bytes() == archive
 
 
 # ----------------------------------------------------------------------
@@ -480,65 +464,149 @@ class TestIdleTimeoutEofRace:
 # Manager recovery (end to end, fast preset)
 # ----------------------------------------------------------------------
 class TestManagerRecovery:
-    def test_killed_batch_job_resumes_through_the_manager(
-        self, tmp_path, fast_setup, fast_config
-    ):
+    """A killed job re-runs from its spool to the uninterrupted payload."""
+
+    @staticmethod
+    def _crashed(tmp_path, setup, kill=None):
+        """A store + spool as a process killed at ``kill`` leaves them.
+
+        The job is persisted ``running`` with its inputs spooled; with
+        ``kill`` its analysis is torn down there first.
+        """
         persist = str(tmp_path / "jobs.json")
-        checkpoints = str(tmp_path / "checkpoints")
-
-        # Phase 1: the doomed process's leftovers.
+        checkpoints = tmp_path / "checkpoints"
         store = JobStore(persist_path=persist)
-        payload = store.create("d" * 10, seed=5, config_hash=fast_setup["hash"])
-        job_id = payload["id"]
+        job_id = store.create("d" * 10, seed=5, config_hash=setup["hash"])["id"]
         store.mark_running(job_id)
-        spool_input(
-            checkpoints,
-            job_id,
-            mode="batch",
-            seed=5,
-            config=config_to_dict(fast_setup["analyzer"].config),
-            annotation=annotation_to_dict(fast_setup["annotation"]),
-            frames=fast_setup["video"].frames,
-        )
-        ckpt = JobCheckpointer(checkpoints, job_id, fast_setup["hash"])
-        with pytest.raises(_SimulatedKill):
-            fast_setup["analyzer"].analyze(
-                fast_setup["video"],
-                annotation=fast_setup["annotation"],
-                rng=np.random.default_rng(5),
-                checkpointer=KillAfter(ckpt, "segmentation"),
-            )
+        _spool_batch(checkpoints, job_id, setup)
+        if kill is not None:
+            with pytest.raises(_SimulatedKill):
+                setup["analyzer"].analyze(
+                    setup["video"],
+                    annotation=setup["annotation"],
+                    rng=np.random.default_rng(5),
+                    instrumentation=Instrumentation(sink=KillAt(*kill)),
+                )
+        return persist, checkpoints, job_id
 
-        # Phase 2: restart.
+    @staticmethod
+    def _assert_rerun_matches(persist, checkpoints, job_id, setup):
+        """Restart on the state: the job re-runs to the reference."""
         pool = WorkerPool(2, thread_name_prefix="recover-test")
         manager = JobManager(
-            JobsConfig(persist_path=persist, checkpoint_dir=checkpoints),
+            JobsConfig(persist_path=persist, checkpoint_dir=str(checkpoints)),
             pool,
         )
         try:
-            assert manager.recover(
-                lambda _cfg: JumpAnalyzer(fast_config)
-            ) == [job_id]
-            for _ in range(600):
-                state = manager.payload(job_id)["state"]
-                if state in JobState.TERMINAL:
-                    break
-                threading.Event().wait(0.05)
+            assert manager.recover(_rerun_factory) == [job_id]
+            assert _wait_for(
+                lambda: manager.payload(job_id)["state"] in JobState.TERMINAL,
+                timeout=60.0,
+            )
             final = manager.payload(job_id, include_result=True)
             assert final["state"] == JobState.SUCCEEDED
             assert final["resumed"] is True
             result = dict(final["result"])
             result.pop("trace", None)
-            assert result == fast_setup["reference"]
+            assert result == setup["reference"]
             assert manager.stats()["resumed"] == 1
-            # Terminal cleanup dropped the crash state.  The worker
-            # flips the state *before* its finally-block cleanup runs,
-            # so give the sweep a moment on a loaded machine.
-            for _ in range(100):
-                if not has_spool(checkpoints, job_id):
-                    break
-                threading.Event().wait(0.05)
-            assert not has_spool(checkpoints, job_id)
+            # The worker flips the state *before* its finally-block
+            # clears the spool, so give the sweep a moment on a loaded
+            # machine.
+            assert _wait_for(lambda: not (checkpoints / job_id).exists())
+            assert _wait_for(lambda: manager.workers.active() == 0)
+            assert pool.stats()["reclaimed"] == 0
+        finally:
+            manager.close()
+            pool.shutdown(wait=True)
+
+    def test_killed_batch_job_resumes_through_the_manager(
+        self, tmp_path, fast_setup
+    ):
+        state = self._crashed(
+            tmp_path, fast_setup, KILL_POINTS["segmentation_span"]
+        )
+        self._assert_rerun_matches(*state, fast_setup)
+
+    @pytest.mark.parametrize(
+        "setup_name, kill_point",
+        [
+            ("fast_setup", "first_tracking_frame"),
+            ("fast_setup", "scoring_start"),
+            ("two_actor_setup", "segmentation_span"),
+            ("two_actor_setup", "first_tracking_frame"),
+            ("two_actor_setup", "scoring_start"),
+        ],
+    )
+    def test_rerun_matches_uninterrupted_run(
+        self, request, tmp_path, setup_name, kill_point
+    ):
+        """The rest of the kill-point × config matrix (one actor at the
+        segmentation span is the test above); two actors never had a
+        tracking checkpoint, and re-run the same way."""
+        setup = request.getfixturevalue(setup_name)
+        state = self._crashed(tmp_path, setup, KILL_POINTS[kill_point])
+        self._assert_rerun_matches(*state, setup)
+
+    def test_job_dir_in_the_previous_layout_recovers(
+        self, tmp_path, fast_setup
+    ):
+        """A directory the stage-checkpoint layout left behind — frames
+        re-compressed as float64, ``checkpoint.json`` + ``.npz`` — still
+        re-runs to the same payload, and is cleared with the spool."""
+        persist, checkpoints, job_id = self._crashed(tmp_path, fast_setup)
+        job_dir = checkpoints / job_id
+        with open(job_dir / "input.npz", "wb") as handle:
+            np.savez_compressed(
+                handle, frames=np.asarray(fast_setup["video"].frames)
+            )
+        (job_dir / "checkpoint.json").write_text(
+            json.dumps(
+                {
+                    "version": 1,
+                    "job_id": job_id,
+                    "config_hash": fast_setup["hash"],
+                    "stage": "tracking",
+                }
+            )
+        )
+        np.savez_compressed(
+            job_dir / "checkpoint.npz", persons=np.zeros((1, 4, 4), bool)
+        )
+        self._assert_rerun_matches(persist, checkpoints, job_id, fast_setup)
+
+    def test_claimed_job_reruns_from_its_spool(self, tmp_path, fast_setup):
+        """A shared-store claim rebuilds the job from the spool alone."""
+        checkpoints = tmp_path / "checkpoints"
+        config = JobsConfig(
+            store_dir=str(tmp_path / "store"), checkpoint_dir=str(checkpoints)
+        )
+        pool = WorkerPool(1, thread_name_prefix="claim-test")
+        manager = JobManager(config, pool)
+        archive_b64 = encode_video(fast_setup["video"])
+        try:
+            job_id = manager.submit_analysis(
+                fast_setup["analyzer"],
+                fast_setup["video"],
+                annotation=fast_setup["annotation"],
+                seed=5,
+                config_hash=fast_setup["hash"],
+                video_npz_b64=archive_b64,
+            )["id"]
+            # Spooled as sent: the client's archive, byte for byte.
+            spooled = checkpoints / job_id / "input.npz"
+            assert spooled.read_bytes() == base64.b64decode(archive_b64)
+            assert manager.drain_once(_rerun_factory) == job_id
+            assert _wait_for(
+                lambda: manager.payload(job_id)["state"] in JobState.TERMINAL,
+                timeout=60.0,
+            )
+            final = manager.payload(job_id, include_result=True)
+            assert final["state"] == JobState.SUCCEEDED
+            result = dict(final["result"])
+            result.pop("trace", None)
+            assert result == fast_setup["reference"]
+            assert _wait_for(lambda: not (checkpoints / job_id).exists())
         finally:
             manager.close()
             pool.shutdown(wait=True)

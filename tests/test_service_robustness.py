@@ -1,5 +1,7 @@
 """Tests for the hardened service: 413/503/504, degraded 200s, /health."""
 
+import base64
+import io
 import json
 import threading
 import time
@@ -416,6 +418,103 @@ REPRO_ERRORS = sorted(
     ),
     key=lambda cls: cls.__name__,
 )
+
+
+class TestDetachedSpool:
+    """``POST /v1/jobs`` with a state directory spools the request's
+    archive as sent, and a spool that cannot be written is a clean 503."""
+
+    def test_running_job_dir_holds_the_archive_as_sent(
+        self, short_jump, tmp_path
+    ):
+        checkpoints = tmp_path / "checkpoints"
+        handle = ServiceHandle(
+            service_config=ServiceConfig(
+                jobs=JobsConfig(checkpoint_dir=str(checkpoints))
+            )
+        ).start()
+        analyzer = _BlockingAnalyzer()
+        handle._server.analyzer = analyzer
+        _stub_serializer(handle)
+        # uint8, as clients send video: decoding yields float64 frames,
+        # so an archive rebuilt from the decoded clip would differ.
+        buffer = io.BytesIO()
+        np.savez_compressed(
+            buffer,
+            frames=np.round(short_jump.video.frames * 255).astype(np.uint8),
+        )
+        archive = buffer.getvalue()
+        body = json.dumps(
+            {"video_npz_b64": base64.b64encode(archive).decode("ascii")}
+        ).encode("utf-8")
+        try:
+            status, payload, _ = _post_raw(f"{handle.address}/v1/jobs", body)
+            assert status == 202
+            job_id = payload["job"]["id"]
+            assert analyzer.started.wait(10)
+            job_dir = checkpoints / job_id
+            assert sorted(path.name for path in job_dir.iterdir()) == [
+                "input.npz",
+                "meta.json",
+            ]
+            assert (job_dir / "input.npz").read_bytes() == archive
+            analyzer.release.set()
+            deadline = time.monotonic() + 10
+            while job_dir.exists() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not job_dir.exists()
+        finally:
+            analyzer.release.set()
+            handle.stop()
+
+    @pytest.mark.parametrize("mode", ["batch", "stream"])
+    def test_failed_spool_is_503_and_fails_the_job(
+        self, short_jump, tmp_path, monkeypatch, mode
+    ):
+        import repro.jobs.manager as manager_module
+
+        def disk_full(*_args, **_kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(manager_module, "spool_input", disk_full)
+        handle = ServiceHandle(
+            service_config=ServiceConfig(
+                jobs=JobsConfig(
+                    checkpoint_dir=str(tmp_path / "checkpoints"), max_queued=1
+                ),
+                retry_after_seconds=3,
+            )
+        ).start()
+        body = (
+            _analyze_body(short_jump.video)
+            if mode == "batch"
+            else json.dumps({"mode": "stream"}).encode("utf-8")
+        )
+        try:
+            for _ in range(2):  # the first failure holds no queue slot
+                status, payload, headers = _post_raw(
+                    f"{handle.address}/v1/jobs", body
+                )
+                assert status == 503
+                assert payload["error"]["type"] == "spool_failed"
+                assert "No space left" in payload["error"]["message"]
+                assert headers["Retry-After"] == "3"
+            _, listing = _get(f"{handle.address}/v1/jobs")
+            assert [job["state"] for job in listing["jobs"]] == ["failed"] * 2
+            assert {job["error"]["type"] for job in listing["jobs"]} == {
+                "SpoolFailed"
+            }
+            assert not any((tmp_path / "checkpoints").glob("*"))
+            # Once the disk recovers, the max_queued=1 slot is free.
+            monkeypatch.undo()
+            status, payload, _ = _post_raw(
+                f"{handle.address}/v1/jobs",
+                json.dumps({"mode": "stream"}).encode("utf-8"),
+            )
+            assert status == 202
+            handle.jobs.cancel(payload["job"]["id"])
+        finally:
+            handle.stop()
 
 
 class TestErrorMapping:
