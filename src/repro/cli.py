@@ -444,7 +444,7 @@ def _cmd_demo_multi(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    from .evaluation import evaluate_detection, evaluate_tracking
+    from .evaluation import analyze_corpus, score_detection, score_tracking
     from .video.synthesis.dataset import synthesize_flawed_jump
 
     config = _resolve_cli_config(args)
@@ -457,7 +457,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         ]
     print(f"evaluating {len(jumps)} jumps (this runs the full pipeline)…")
 
-    detection = evaluate_detection(jumps, config=config)
+    analyses = analyze_corpus(jumps, config=config)
+    detection = score_detection(jumps, analyses)
     print()
     print("flaw detection per standard:")
     for stats in detection.per_standard:
@@ -471,7 +472,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         f"false-alarm rate {detection.overall_false_alarm_rate:.2f}"
     )
 
-    tracking = evaluate_tracking(jumps, config=config)
+    tracking = score_tracking(jumps, analyses)
     print()
     print(
         f"tracking: mean joint err {tracking.mean_joint_error:.2f}px "

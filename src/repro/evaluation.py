@@ -5,7 +5,9 @@ compared with human evaluation."  Synthetic ground truth stands in for
 the human evaluator: :func:`evaluate_detection` runs the full pipeline
 over a corpus of labelled jumps (clean and flawed) and aggregates
 per-standard detection statistics, and :func:`evaluate_tracking`
-aggregates pose-tracking accuracy.
+aggregates pose-tracking accuracy.  Both are :func:`analyze_corpus`
+followed by a scorer (:func:`score_detection`, :func:`score_tracking`),
+so a caller that wants both analyses each jump once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .model.annotation import simulate_human_annotation
 from .model.pose import mean_joint_error, pose_angle_errors
-from .pipeline import AnalyzerConfig, JumpAnalyzer
+from .pipeline import AnalyzerConfig, JumpAnalysis, JumpAnalyzer
 from .scoring.standards import Standard
 from .video.synthesis.dataset import SyntheticJump
 
@@ -78,18 +80,36 @@ def _analyze(jump: SyntheticJump, analyzer: JumpAnalyzer, seed: int):
     )
 
 
+def analyze_corpus(
+    jumps: list[SyntheticJump],
+    config: AnalyzerConfig | None = None,
+    seed: int = 0,
+) -> list[JumpAnalysis]:
+    """Run the full pipeline once over each jump of a corpus."""
+    analyzer = JumpAnalyzer(config)
+    return [
+        _analyze(jump, analyzer, seed + 10 * index)
+        for index, jump in enumerate(jumps)
+    ]
+
+
 def evaluate_detection(
     jumps: list[SyntheticJump],
     config: AnalyzerConfig | None = None,
     seed: int = 0,
 ) -> DetectionEvaluation:
     """Run the full pipeline over a corpus and score flaw detection."""
-    analyzer = JumpAnalyzer(config)
+    return score_detection(jumps, analyze_corpus(jumps, config, seed))
+
+
+def score_detection(
+    jumps: list[SyntheticJump], analyses: list[JumpAnalysis]
+) -> DetectionEvaluation:
+    """Per-standard flaw-detection statistics of analysed jumps."""
     counts = {
         standard: {"tp": 0, "fn": 0, "fp": 0, "tn": 0} for standard in Standard
     }
-    for index, jump in enumerate(jumps):
-        analysis = _analyze(jump, analyzer, seed + 10 * index)
+    for jump, analysis in zip(jumps, analyses):
         detected = set(analysis.report.violated_standards)
         injected = set(jump.violated)
         for standard in Standard:
@@ -129,11 +149,16 @@ def evaluate_tracking(
     seed: int = 0,
 ) -> TrackingEvaluation:
     """Run the full pipeline over a corpus and score tracking accuracy."""
-    analyzer = JumpAnalyzer(config)
+    return score_tracking(jumps, analyze_corpus(jumps, config, seed))
+
+
+def score_tracking(
+    jumps: list[SyntheticJump], analyses: list[JumpAnalysis]
+) -> TrackingEvaluation:
+    """Pose-tracking accuracy of analysed jumps against ground truth."""
     joint_errors: list[float] = []
     stick_errors: list[np.ndarray] = []
-    for index, jump in enumerate(jumps):
-        analysis = _analyze(jump, analyzer, seed + 10 * index)
+    for jump, analysis in zip(jumps, analyses):
         for k in range(1, jump.num_frames):
             joint_errors.append(
                 mean_joint_error(analysis.poses[k], jump.motion.poses[k], jump.dims)

@@ -447,10 +447,12 @@ class JobManager:
         """Re-submit jobs the store restored as resumable.
 
         ``analyzer_factory`` maps a spooled config dict (or ``None``)
-        to an analyzer.  Each job is rebuilt from its input spool and
-        run again with its seed (see :meth:`_resubmit`), so a
-        reconnecting stream client can keep pushing from
-        ``frames_received``.  Returns the re-submitted job ids.
+        to an analyzer, raising :class:`~repro.errors.ConfigurationError`
+        for a config that no longer parses.  Each job is rebuilt from
+        its input spool and run again with its seed (see
+        :meth:`_resubmit`), so a reconnecting stream client can keep
+        pushing from ``frames_received``.  Returns the re-submitted job
+        ids.
         """
         if not self.config.checkpoint_dir or not self.config.resume_on_start:
             return []
@@ -473,14 +475,20 @@ class JobManager:
         (or stream chunks), annotation, config and seed, so the re-run
         reproduces the interrupted run's payload.  A streaming job gets
         a fresh frame queue and replays its spooled chunks first.  A
-        job whose spool turns out unreadable is failed cleanly as
-        ``Interrupted`` rather than left queued forever; returns
-        whether the job was submitted.
+        job whose spool turns out unreadable, or whose spooled config
+        no longer parses, is failed cleanly as ``Interrupted`` rather
+        than left queued forever or re-run under another config;
+        returns whether the job was submitted.
         """
         directory = self.config.checkpoint_dir
         meta = load_input_meta(directory, job_id)
         if meta is None:
             self._fail_unrecoverable(job_id, "input spool unreadable")
+            return False
+        try:
+            analyzer = analyzer_factory(meta.get("config"))
+        except ConfigurationError as exc:
+            self._fail_unrecoverable(job_id, str(exc))
             return False
         annotation = None
         if meta.get("annotation") is not None:
@@ -498,7 +506,7 @@ class JobManager:
                 )
             self.workers.submit_stream(
                 job_id,
-                analyzer_factory(meta.get("config")),
+                analyzer,
                 queue,
                 annotation=annotation,
                 seed=seed,
@@ -513,7 +521,7 @@ class JobManager:
             return False
         self.workers.submit(
             job_id,
-            analyzer_factory(meta.get("config")),
+            analyzer,
             VideoSequence(video),
             annotation=annotation,
             seed=seed,
@@ -576,6 +584,8 @@ class JobManager:
         return job_id if self._resubmit(job_id, analyzer_factory) else None
 
     def _fail_unrecoverable(self, job_id: str, reason: str) -> None:
+        """Fail a job that cannot re-run, and drop its spool."""
+        clear_spool(self.config.checkpoint_dir, job_id)
         self.store.mark_running(job_id)
         self.store.finish(
             job_id,

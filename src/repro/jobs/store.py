@@ -128,7 +128,8 @@ class JobStore:
         backend's atomic counter (so replicas never collide) and the
         record is written for everyone to see; it enters this store's
         local dict only when this replica executes it (streams, or a
-        batch job claimed via :meth:`adopt`).
+        batch job claimed via :meth:`adopt`).  A snapshot write that
+        raises leaves no record behind.
         """
         with self._lock:
             self._evict_expired()
@@ -151,7 +152,13 @@ class JobStore:
                 return job.to_dict()
             self._jobs[job_id] = job
             self._enforce_capacity()
-            self._save()
+            try:
+                self._save()
+            except Exception:
+                # Unpublished: a record no snapshot holds would stay
+                # ``submitted`` with no worker, holding a queue slot.
+                del self._jobs[job_id]
+                raise
             return job.to_dict()
 
     # ------------------------------------------------------------------

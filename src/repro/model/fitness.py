@@ -18,11 +18,7 @@ import numpy as np
 
 from . import geometry
 from .chromosome import RowMemo
-from .geometry import (
-    mask_points_world,
-    points_to_segments_distance,
-    segment_distances_squared,
-)
+from .geometry import mask_points_world, points_to_segments_distance
 from .pose import GENES, StickPose, forward_kinematics
 from .sticks import NUM_STICKS, BodyDimensions
 from ..errors import ConfigurationError, ModelError
@@ -36,26 +32,15 @@ class FitnessConfig:
     ``max_points`` caps the number of silhouette points used (uniform
     subsampling) to bound the cost of one evaluation; 0 disables the
     cap and uses every silhouette pixel like the paper.
-
-    ``precision`` selects the arithmetic of Eq. 3: ``"float64"`` (the
-    default, bit-for-bit the paper configuration) or ``"float32"``, a
-    fast path that also minimises over *squared* normalised distances —
-    scores agree with float64 to ~1e-3 relative (documented and
-    enforced in ``tests/test_perf_parity.py``).
     """
 
     max_points: int = 1500
     subsample_seed: int = 7
-    precision: str = "float64"
 
     def __post_init__(self) -> None:
         if self.max_points < 0:
             raise ConfigurationError(
                 f"max_points must be >= 0, got {self.max_points}"
-            )
-        if self.precision not in ("float64", "float32"):
-            raise ConfigurationError(
-                f"precision must be 'float64' or 'float32', got {self.precision!r}"
             )
 
 
@@ -73,9 +58,7 @@ def _row_means(minima: np.ndarray) -> np.ndarray:
     score would depend on how many rows shared its batch.  Summing each
     chromosome's minima as one contiguous row makes numpy reduce every
     row pairwise, the same bits whatever ``C`` is — which is what lets
-    :class:`SilhouetteFitness` reuse a score across batches.  float32
-    minima are widened in the same copy, so no buffered cast can split
-    a row either.
+    :class:`SilhouetteFitness` reuse a score across batches.
     """
     return np.ascontiguousarray(minima.T, dtype=np.float64).mean(axis=1)
 
@@ -114,11 +97,6 @@ class SilhouetteFitness:
             points = points[chosen]
         self._points = points
         self._thickness = np.asarray(dims.thicknesses, dtype=np.float64)
-        if self._config.precision == "float32":
-            self._points32 = self._points.astype(np.float32)
-            self._inv_thickness_sq32 = (
-                1.0 / (self._thickness * self._thickness)
-            ).astype(np.float32)
         self._scores = RowMemo(np.float64)
 
     @property
@@ -165,8 +143,6 @@ class SilhouetteFitness:
         # Chunk the population so the (N, C*8) distance matrix stays
         # small enough to be cache-friendly.
         chunk = _adaptive_chunk(num_points)
-        if self._config.precision == "float32":
-            return self._evaluate_float32(segments, chunk)
         scores = np.empty(population, dtype=np.float64)
         for start in range(0, population, chunk):
             block = segments[start : start + chunk]  # (C, 8, 2, 2)
@@ -180,29 +156,6 @@ class SilhouetteFitness:
             for stick in range(2, NUM_STICKS):
                 np.minimum(minima, normalised[..., stick], out=minima)
             scores[start : start + block.shape[0]] = _row_means(minima)
-        return scores
-
-    def _evaluate_float32(self, segments: np.ndarray, chunk: int) -> np.ndarray:
-        """Reduced-precision Eq. 3: squared distances, one sqrt per point.
-
-        ``min_l d/t_l == sqrt(min_l d²/t_l²)`` exactly in real
-        arithmetic; in floats the reordering plus float32 storage moves
-        scores by ~1e-3 relative (see ``docs/performance.md``).  The
-        point minima are widened to float64 before the mean, so the
-        error does not grow with the silhouette size.
-        """
-        population = segments.shape[0]
-        num_points = self._points32.shape[0]
-        segments32 = segments.astype(np.float32)
-        scores = np.empty(population, dtype=np.float64)
-        for start in range(0, population, chunk):
-            block = segments32[start : start + chunk]
-            flat = block.reshape(-1, 2, 2)
-            sq = segment_distances_squared(self._points32, flat)
-            sq = sq.reshape(num_points, block.shape[0], NUM_STICKS)
-            normalised = sq * self._inv_thickness_sq32[None, None, :]
-            best = np.sqrt(normalised.min(axis=2))
-            scores[start : start + block.shape[0]] = _row_means(best)
         return scores
 
     def evaluate_pose(self, pose: StickPose) -> float:

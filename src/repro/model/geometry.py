@@ -104,38 +104,6 @@ def _segment_distances_fast(points: np.ndarray, segments: np.ndarray) -> np.ndar
     return np.sqrt(ex * ex + ey * ey)
 
 
-def segment_distances_squared(
-    points: np.ndarray, segments: np.ndarray
-) -> np.ndarray:
-    """Squared point-to-segment distances, dtype-preserving.
-
-    The float32 fitness fast path minimises over *squared* normalised
-    distances and takes one square root per (point, chromosome) instead
-    of per (point, stick) — see ``SilhouetteFitness``.  No validation:
-    callers own the shapes.
-    """
-    px = points[:, 0:1]
-    py = points[:, 1:2]
-    sx = segments[:, 0, 0]
-    sy = segments[:, 0, 1]
-    dx = segments[:, 1, 0] - sx
-    dy = segments[:, 1, 1] - sy
-    length_sq = dx * dx + dy * dy
-
-    relx = px - sx
-    rely = py - sy
-    dot = relx * dx + rely * dy
-    if length_sq.size and length_sq.min() > 0.0:
-        t = dot / length_sq
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(length_sq > 0.0, dot / length_sq, 0.0)
-    np.clip(t, 0.0, 1.0, out=t)
-    ex = px - (sx + t * dx)
-    ey = py - (sy + t * dy)
-    return ex * ex + ey * ey
-
-
 def sample_segment_points(segments: np.ndarray, samples_per_segment: int) -> np.ndarray:
     """Evenly sample points along each segment.
 

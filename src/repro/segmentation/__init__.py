@@ -4,7 +4,6 @@ from .background import (
     BackgroundResult,
     ChangeDetectionBackgroundEstimator,
     ChangeDetectionConfig,
-    MedianBackgroundEstimator,
 )
 from .cleanup import CleanupConfig, CleanupStages, clean_foreground
 from .online import (
@@ -26,7 +25,6 @@ __all__ = [
     "BackgroundResult",
     "ChangeDetectionBackgroundEstimator",
     "ChangeDetectionConfig",
-    "MedianBackgroundEstimator",
     "OnlineBackgroundModel",
     "RunningBackgroundModel",
     "WarmupBackgroundModel",

@@ -9,22 +9,17 @@ The paper leaves the aggregation of the saved observations open, and
 the choice matters: a jumper who stands still for the first frames is
 temporally stable too, so naive averaging bakes a person-shaped *ghost*
 into the background (exactly the artefact Cucchiara et al. [3] — the
-paper's own reference — analyse).  Three aggregation modes are
-provided:
+paper's own reference — analyse).  Per pixel, this estimator keeps the
+mean of the longest temporally *contiguous* run of stable pairs.  The
+person-standing run is broken by the crouch and the takeoff, while the
+empty-background run after the jumper leaves is unbroken, so the true
+background wins.  Ties prefer the later run (the background after the
+person exits).  Pixels with no stable pair at all fall back to the
+temporal median of the whole sequence.
 
-* ``"longest_run"`` (default) — per pixel, keep the mean of the longest
-  temporally *contiguous* run of stable pairs.  The person-standing run
-  is broken by the crouch and the takeoff, while the empty-background
-  run after the jumper leaves is unbroken, so the true background wins.
-  Ties prefer the later run (the background after the person exits).
-* ``"mean"`` — average all stable observations (a literal reading of
-  the paper).
-* ``"median"`` — per-pixel median of stable observations.
-
-Pixels with no stable pair at all fall back to the temporal median of
-the whole sequence.  :class:`MedianBackgroundEstimator` (plain temporal
-median, no change detection) is the classical baseline for the Fig. 1
-bench.
+The literal mean of every stable pair, their median and the plain
+temporal median are the baselines ``benchmarks/test_fig1_background.py``
+compares against.
 """
 
 from __future__ import annotations
@@ -36,8 +31,6 @@ import numpy as np
 from ..errors import ConfigurationError, VideoError
 from ..imaging.image import channel_max
 from ..video.sequence import VideoSequence
-
-_AGGREGATIONS = ("longest_run", "mean", "median")
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,16 +52,11 @@ class ChangeDetectionConfig:
     """Step-1 parameters."""
 
     threshold: float = 0.05
-    aggregation: str = "longest_run"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.threshold < 1.0:
             raise ConfigurationError(
                 f"change threshold must be in (0, 1), got {self.threshold}"
-            )
-        if self.aggregation not in _AGGREGATIONS:
-            raise ConfigurationError(
-                f"aggregation must be one of {_AGGREGATIONS}, got {self.aggregation!r}"
             )
 
 
@@ -80,7 +68,7 @@ def _stable_pixels(
 
 
 class StablePairScan:
-    """Step 1's ``mean`` / ``longest_run`` aggregation as a recurrence.
+    """Step 1's longest-run aggregation as a recurrence.
 
     Folds one consecutive frame pair at a time into per-pixel
     accumulators, so the memory cost is a few frames whatever the
@@ -92,22 +80,17 @@ class StablePairScan:
     def __init__(self, height: int, width: int, config: ChangeDetectionConfig) -> None:
         self.config = config
         self.support = np.zeros((height, width), dtype=np.int32)
-        if config.aggregation == "mean":
-            self._sum = np.zeros((height, width, 3), dtype=np.float64)
-        else:  # longest_run: the current run and the best run so far
-            self._cur_len = np.zeros((height, width), dtype=np.int32)
-            self._cur_sum = np.zeros((height, width, 3), dtype=np.float64)
-            self._best_len = np.zeros((height, width), dtype=np.int32)
-            self._best_sum = np.zeros((height, width, 3), dtype=np.float64)
+        # The current run and the best run so far.
+        self._cur_len = np.zeros((height, width), dtype=np.int32)
+        self._cur_sum = np.zeros((height, width, 3), dtype=np.float64)
+        self._best_len = np.zeros((height, width), dtype=np.int32)
+        self._best_sum = np.zeros((height, width, 3), dtype=np.float64)
 
     def add(self, prev: np.ndarray, frame: np.ndarray) -> None:
         """Fold the pair ``(prev, frame)`` into the accumulators."""
         stable = _stable_pixels(prev, frame, self.config.threshold)
         value = 0.5 * (prev + frame)
         self.support += stable
-        if self.config.aggregation == "mean":
-            self._sum += np.where(stable[..., None], value, 0.0)
-            return
         self._cur_len = np.where(stable, self._cur_len + 1, 0)
         self._cur_sum = np.where(stable[..., None], self._cur_sum + value, 0.0)
         # ">=" so a tie prefers the *later* run: after the jumper
@@ -118,13 +101,9 @@ class StablePairScan:
 
     def background(self) -> np.ndarray:
         """The aggregated background; 0 where no pair was stable."""
-        if self.config.aggregation == "mean":
-            total, count = self._sum, self.support
-        else:
-            total, count = self._best_sum, self._best_len
-        background = np.zeros_like(total)
+        background = np.zeros_like(self._best_sum)
         covered = self.support > 0
-        background[covered] = total[covered] / count[covered, None]
+        background[covered] = self._best_sum[covered] / self._best_len[covered, None]
         return background
 
 
@@ -139,49 +118,14 @@ class ChangeDetectionBackgroundEstimator:
         if len(video) < 2:
             raise VideoError("change detection needs at least two frames")
         frames = video.frames
-        if self.config.aggregation == "median":
-            background, support = self._median(frames)
-        else:
-            scan = StablePairScan(video.height, video.width, self.config)
-            for k in range(len(video) - 1):
-                scan.add(frames[k], frames[k + 1])
-            background, support = scan.background(), scan.support
+        scan = StablePairScan(video.height, video.width, self.config)
+        for k in range(len(video) - 1):
+            scan.add(frames[k], frames[k + 1])
+        background, support = scan.background(), scan.support
 
         fallback = support == 0
         if fallback.any():
             background[fallback] = np.median(frames[:, fallback], axis=0)
-        return BackgroundResult(
-            background=np.clip(background, 0.0, 1.0),
-            support=support,
-            fallback_mask=fallback,
-        )
-
-    def _median(self, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pixel median of every stable observation, and the support."""
-        num_pairs = len(frames) - 1
-        height, width = frames.shape[1:3]
-        stable = np.empty((num_pairs, height, width), dtype=bool)
-        values = np.empty((num_pairs, height, width, 3), dtype=np.float64)
-        for k in range(num_pairs):
-            stable[k] = _stable_pixels(frames[k], frames[k + 1], self.config.threshold)
-            values[k] = 0.5 * (frames[k] + frames[k + 1])
-        masked = np.where(stable[..., None], values, np.nan)
-        with np.errstate(all="ignore"):
-            background = np.nanmedian(masked, axis=0)
-        background = np.nan_to_num(background, nan=0.0)
-        return background, stable.sum(axis=0).astype(np.int32)
-
-
-class MedianBackgroundEstimator:
-    """Baseline: per-pixel temporal median over the whole sequence."""
-
-    def estimate(self, video: VideoSequence) -> BackgroundResult:
-        """Estimate the background as the per-pixel median frame."""
-        if len(video) < 1:
-            raise VideoError("cannot estimate background of an empty video")
-        background = np.median(video.frames, axis=0)
-        support = np.full((video.height, video.width), len(video), dtype=np.int32)
-        fallback = np.zeros((video.height, video.width), dtype=bool)
         return BackgroundResult(
             background=np.clip(background, 0.0, 1.0),
             support=support,

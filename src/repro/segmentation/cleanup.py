@@ -3,8 +3,7 @@
 Step 3 removes noise pixels by 8-neighbour counting, then deletes
 small connected spots ("since we are looking for human objects,
 smaller spots can be removed from the scene").  Step 4 fills small
-holes with the 4-neighbour rule; complete topological hole filling is
-available as an extension.
+holes with the 4-neighbour rule.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..imaging.components import remove_small_components
-from ..imaging.holes import fill_holes
 from ..imaging.neighbors import fill_single_pixel_holes, remove_noise_pixels
 
 
@@ -30,7 +28,6 @@ class CleanupConfig:
     min_neighbors: int = 3
     min_spot_area: int = 30  # connected regions below this are deleted
     hole_fill_iterations: int = 2  # passes of the 4-neighbour fill rule
-    fill_all_holes: bool = False  # extension: topological hole fill
 
     def __post_init__(self) -> None:
         if not 0 <= self.min_neighbors <= 8:
@@ -67,11 +64,8 @@ def step_spot_removal(mask: np.ndarray, config: CleanupConfig) -> np.ndarray:
 
 
 def step_hole_fill(mask: np.ndarray, config: CleanupConfig) -> np.ndarray:
-    """Step 4: the 4-neighbour fill (plus optional topological fill)."""
-    filled = fill_single_pixel_holes(mask, iterations=config.hole_fill_iterations)
-    if config.fill_all_holes:
-        filled = fill_holes(filled)
-    return filled
+    """Step 4: the 4-neighbour fill."""
+    return fill_single_pixel_holes(mask, iterations=config.hole_fill_iterations)
 
 
 def clean_foreground(

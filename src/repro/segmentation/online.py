@@ -1,6 +1,6 @@
 """Online background estimation — Step 1 without the whole video.
 
-The batch estimators in :mod:`repro.segmentation.background` consume a
+The batch estimator in :mod:`repro.segmentation.background` consume a
 complete :class:`~repro.video.sequence.VideoSequence`.  Streaming
 ingestion delivers frames one at a time, so Step 1 is restructured here
 as an *online model*: observe frames as they arrive, report when enough
@@ -15,13 +15,11 @@ steps (2–5) already consume.  Two implementations:
   the streaming refactor; fed only a warm-up prefix it is the
   "freeze after N frames" mode the streaming analyzer uses.
 * :class:`RunningBackgroundModel` — O(1)-memory incremental change
-  detection.  The ``mean`` and ``longest_run`` aggregations run the
-  batch estimator's own per-pair recurrence
+  detection.  It runs the batch estimator's own per-pair recurrence
   (:class:`~repro.segmentation.background.StablePairScan`); only the
   no-stable-pair fallback differs — the batch estimator uses the
   temporal *median* frame, which cannot be kept in O(1) memory, so this
-  model substitutes the running *mean* frame for those pixels.  The
-  ``median`` aggregation is rejected up front for the same reason.
+  model substitutes the running *mean* frame for those pixels.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from .background import (
     ChangeDetectionConfig,
     StablePairScan,
 )
-from ..errors import ConfigurationError, StreamError, VideoError
+from ..errors import StreamError, VideoError
 from ..video.sequence import VideoSequence
 
 
@@ -73,8 +71,8 @@ class WarmupBackgroundModel:
     """Buffer frames, then freeze through a batch estimator.
 
     ``estimator`` is any object with an
-    ``estimate(video) -> BackgroundResult`` method (the two batch
-    estimators).  ``warmup_frames`` is the buffer size after which
+    ``estimate(video) -> BackgroundResult`` method (the batch
+    estimator).  ``warmup_frames`` is the buffer size after which
     :attr:`ready` turns True; ``0`` means "never ready on its own" —
     the owner decides when to freeze, which is how the batch path
     buffers a whole sequence.
@@ -143,12 +141,6 @@ class RunningBackgroundModel:
         min_frames: int = 2,
     ) -> None:
         self.config = config or ChangeDetectionConfig()
-        if self.config.aggregation == "median":
-            raise ConfigurationError(
-                "the 'median' aggregation needs the whole sequence and "
-                "cannot run incrementally; use WarmupBackgroundModel or "
-                "the 'mean'/'longest_run' aggregations"
-            )
         self.min_frames = max(2, int(min_frames))
         self._frames_seen = 0
         self._prev: np.ndarray | None = None

@@ -25,7 +25,6 @@ from .background import (
     BackgroundResult,
     ChangeDetectionBackgroundEstimator,
     ChangeDetectionConfig,
-    MedianBackgroundEstimator,
 )
 from .online import WarmupBackgroundModel
 from .cleanup import (
@@ -70,7 +69,6 @@ class SegmentationConfig:
     subtraction: SubtractionConfig = field(default_factory=SubtractionConfig)
     cleanup: CleanupConfig = field(default_factory=CleanupConfig)
     shadow: ShadowMaskConfig = field(default_factory=ShadowMaskConfig)
-    use_median_background: bool = False  # baseline switch for Fig. 1 bench
     # Align frames to the first frame by phase correlation before
     # anything else.  Off by default (the paper assumes a tripod); turn
     # on for handheld footage — an unstabilised shaky sequence destroys
@@ -271,25 +269,18 @@ class SegmentationPipeline:
     # ------------------------------------------------------------------
     # Step 1
     # ------------------------------------------------------------------
-    def _estimator(
-        self,
-    ) -> MedianBackgroundEstimator | ChangeDetectionBackgroundEstimator:
-        """The batch Step-1 estimator this config selects."""
-        if self.config.use_median_background:
-            return MedianBackgroundEstimator()
-        return ChangeDetectionBackgroundEstimator(self.config.change_detection)
-
     def background_model(self, warmup_frames: int = 0) -> WarmupBackgroundModel:
         """A fresh online Step-1 model matching this pipeline's config.
 
         The model buffers observed frames and freezes them through the
-        configured batch estimator, so freezing after the whole sequence
-        is byte-identical to :meth:`fit`.  ``warmup_frames`` sets when
+        batch change-detection estimator, so freezing after the whole
+        sequence is byte-identical to :meth:`fit`.  ``warmup_frames`` sets when
         the model reports :attr:`~WarmupBackgroundModel.ready` (``0``:
         the owner decides).
         """
         return WarmupBackgroundModel(
-            self._estimator(), warmup_frames=warmup_frames
+            ChangeDetectionBackgroundEstimator(self.config.change_detection),
+            warmup_frames=warmup_frames,
         )
 
     def fit(self, video: VideoSequence) -> BackgroundResult:

@@ -411,13 +411,15 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _spool_failed(self, exc: OSError) -> _BadRequest:
-        """The 503 a submission gets when its inputs could not be spooled.
+        """The 503 a submission gets when its job record or inputs could
+        not be persisted.
 
-        The manager already finished the job ``failed``; the state
-        directory may recover (space freed), so the client may retry.
+        The manager already finished the job ``failed`` (or never
+        created it); the state directory may recover (space freed), so
+        the client may retry.
         """
         return self._retry_later(
-            "spool_failed", f"could not persist the job's inputs: {exc}"
+            "spool_failed", f"could not persist the job's record or inputs: {exc}"
         )
 
     def _draining(self) -> _BadRequest:
@@ -1010,6 +1012,8 @@ class _Handler(BaseHTTPRequestHandler):
                 f"{service_config.max_concurrent} analyses already in "
                 "flight; retry later",
             )
+        except OSError as exc:
+            raise self._spool_failed(exc)
         deadline = time.monotonic() + service_config.deadline_seconds
         try:
             for _, future in submitted:
@@ -1190,17 +1194,17 @@ class ServiceHandle:
     ) -> JumpAnalyzer:
         """Analyzer for a recovered job, from its spooled config dict.
 
-        An unreadable or stale config falls back to the server's shared
-        analyzer, which re-runs the job from its spool as any other.
+        A job spooled without a config runs under the server's shared
+        analyzer.  A config that no longer parses raises
+        :class:`~repro.errors.ConfigurationError`, and the job manager
+        fails the job ``Interrupted``: running it under another config
+        would not reproduce the interrupted payload.
         """
         if config_dict is None:
             return self._server.analyzer  # type: ignore[attr-defined]
-        try:
-            return self._server.analyzer_cache.get(  # type: ignore[attr-defined]
-                AnalyzerConfig.from_dict(config_dict)
-            )
-        except ConfigurationError:
-            return self._server.analyzer  # type: ignore[attr-defined]
+        return self._server.analyzer_cache.get(  # type: ignore[attr-defined]
+            AnalyzerConfig.from_dict(config_dict)
+        )
 
     @property
     def metrics(self) -> MetricsRegistry:

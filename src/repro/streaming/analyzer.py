@@ -227,18 +227,14 @@ class StreamingAnalyzer:
             self.config.segmentation,
             instrumentation=self._instrumentation,
         )
-        if (
-            streaming.background == "running"
-            and not self.config.segmentation.use_median_background
-        ):
+        if streaming.background == "running":
             model = RunningBackgroundModel(
                 self.config.segmentation.change_detection,
                 min_frames=streaming.warmup_frames,
             )
         else:
-            # "warmup", or a median background (which has no exact
-            # incremental form): buffer the prefix, freeze through the
-            # batch estimator.
+            # "warmup": buffer the prefix, freeze through the batch
+            # estimator.
             model = segmenter.background_model(
                 warmup_frames=streaming.warmup_frames
             )

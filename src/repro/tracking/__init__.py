@@ -3,7 +3,7 @@
 The paper analyses one jumper per video.  This subsystem generalises
 the pipeline to *N* actors per scene: segmentation emits per-component
 silhouette candidates, :func:`associate` matches them against each
-alive track's predicted pose box (greedy or Hungarian IoU), and
+alive track's predicted pose box (Hungarian IoU), and
 :class:`TrackManager` owns the lifecycle — tentative birth, confirm
 after ``confirm_hits``, carry-forward on miss via the existing recovery
 ladder, retire after ``max_misses``.  One GA pose tracker runs per
@@ -15,11 +15,9 @@ knobs, and the per-track report shape.
 """
 
 from .association import (
-    ASSOCIATION_METHODS,
     AssociationResult,
     associate,
     box_iou,
-    greedy_match,
     hungarian_match,
     iou_matrix,
 )
@@ -28,11 +26,9 @@ from .report import TrackAnalysis
 from .track import TRACK_STATES, Track, TrackingConfig, pose_bounding_box
 
 __all__ = [
-    "ASSOCIATION_METHODS",
     "AssociationResult",
     "associate",
     "box_iou",
-    "greedy_match",
     "hungarian_match",
     "iou_matrix",
     "TrackAnalysis",

@@ -1,17 +1,12 @@
 """IoU data association between predicted pose boxes and components.
 
 The matching problem is tiny (a handful of tracks against a handful of
-silhouette candidates per frame), so both matchers are exact:
-
-* ``greedy`` repeatedly takes the highest-IoU (track, candidate) pair —
-  simple, order-independent for distinct scores, and the default
-  fallback when SciPy is unavailable;
-* ``hungarian`` solves the assignment optimally via
-  ``scipy.optimize.linear_sum_assignment`` on the negated IoU matrix.
-
-Both reject pairs below ``iou_threshold``: a track that overlaps no
-candidate is a *miss* (the lifecycle carries it forward), and a
-candidate that overlaps no track is a *birth* candidate.
+silhouette candidates per frame), so it is solved optimally: the
+Hungarian method (``scipy.optimize.linear_sum_assignment``) on the
+negated IoU matrix, as posepile does.  Pairs below ``iou_threshold``
+are rejected: a track that overlaps no candidate is a *miss* (the
+lifecycle carries it forward), and a candidate that overlaps no track
+is a *birth* candidate.
 
 Boxes are :class:`~repro.types.BoundingBox` image-coordinate boxes,
 the same type segmentation's component stats use, so ground-truth
@@ -25,11 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import TrackingError
 from ..types import BoundingBox
-
-#: Matching strategies accepted by :func:`associate`.
-ASSOCIATION_METHODS = ("greedy", "hungarian")
 
 
 def box_iou(a: BoundingBox | None, b: BoundingBox | None) -> float:
@@ -69,42 +60,17 @@ class AssociationResult:
         object.__setattr__(self, "unmatched_cols", tuple(self.unmatched_cols))
 
 
-def greedy_match(
-    matrix: np.ndarray, iou_threshold: float
-) -> list[tuple[int, int]]:
-    """Repeatedly take the best remaining pair above the threshold.
-
-    Ties on IoU resolve to the lowest (row, col) — deterministic for
-    identical inputs.
-    """
-    matches: list[tuple[int, int]] = []
-    if matrix.size == 0:
-        return matches
-    scores = matrix.copy()
-    while True:
-        best = float(scores.max())
-        if best < iou_threshold or best <= 0.0:
-            return matches
-        row, col = np.unravel_index(int(scores.argmax()), scores.shape)
-        matches.append((int(row), int(col)))
-        scores[row, :] = -1.0
-        scores[:, col] = -1.0
-
-
 def hungarian_match(
     matrix: np.ndarray, iou_threshold: float
 ) -> list[tuple[int, int]]:
     """Optimal assignment on the negated IoU matrix (posepile-style).
 
-    Falls back to :func:`greedy_match` when SciPy is not installed.
     Assignments below the threshold are discarded after solving.
     """
     if matrix.size == 0:
         return []
-    try:
-        from scipy.optimize import linear_sum_assignment
-    except ImportError:  # pragma: no cover - scipy is a soft dependency
-        return greedy_match(matrix, iou_threshold)
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(-matrix)
     return [
         (int(r), int(c))
@@ -116,21 +82,11 @@ def hungarian_match(
 def associate(
     track_boxes: Sequence[BoundingBox | None],
     candidate_boxes: Sequence[BoundingBox | None],
-    method: str = "hungarian",
     iou_threshold: float = 0.1,
 ) -> AssociationResult:
     """Match predicted track boxes against new silhouette candidates."""
-    if method not in ASSOCIATION_METHODS:
-        raise TrackingError(
-            f"unknown association method {method!r}; choose from: "
-            f"{', '.join(ASSOCIATION_METHODS)}"
-        )
     matrix = iou_matrix(track_boxes, candidate_boxes)
-    if method == "greedy":
-        matches = greedy_match(matrix, iou_threshold)
-    else:
-        matches = hungarian_match(matrix, iou_threshold)
-    matches = sorted(matches)
+    matches = sorted(hungarian_match(matrix, iou_threshold))
     matched_rows = {r for r, _ in matches}
     matched_cols = {c for _, c in matches}
     return AssociationResult(

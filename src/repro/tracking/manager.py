@@ -9,7 +9,7 @@ frame it:
    :func:`~repro.imaging.components.top_n_components` on the person
    mask — the fallback keeps chaos faults from killing association);
 2. predicts one box per alive track from its latest pose and matches
-   predictions against candidates (greedy or Hungarian IoU);
+   predictions against candidates (Hungarian IoU);
 3. steps matched tracks on their component, steps missed tracks
    through the recovery ladder, and spawns tentative tracks from
    unmatched candidates (deterministic ids, ``max_tracks`` capped).
@@ -169,7 +169,6 @@ class TrackManager:
             result = associate(
                 [t.predicted_box(shape) for t in active],
                 boxes,
-                method=self.config.method,
                 iou_threshold=self.config.iou_threshold,
             )
         matched_of = {row: col for row, col in result.matches}

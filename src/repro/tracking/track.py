@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .association import ASSOCIATION_METHODS
 from ..errors import ConfigurationError
 from ..ga.temporal import (
     FrameHealth,
@@ -58,8 +57,6 @@ class TrackingConfig:
     enabled: bool = False
     #: Hard cap on concurrently alive (non-retired) tracks.
     max_tracks: int = 4
-    #: ``greedy`` or ``hungarian`` (optimal assignment; the default).
-    method: str = "hungarian"
     #: Minimum IoU between a predicted pose box and a component for an
     #: association (the posepile snippet's 0.1).
     iou_threshold: float = 0.1
@@ -78,11 +75,6 @@ class TrackingConfig:
         if self.max_tracks < 1:
             raise ConfigurationError(
                 f"tracking.max_tracks must be >= 1, got {self.max_tracks}"
-            )
-        if self.method not in ASSOCIATION_METHODS:
-            raise ConfigurationError(
-                f"tracking.method must be one of {ASSOCIATION_METHODS}, "
-                f"got {self.method!r}"
             )
         if not 0.0 < self.iou_threshold <= 1.0:
             raise ConfigurationError(

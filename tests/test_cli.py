@@ -72,6 +72,29 @@ class TestParser:
         ):
             assert callable(parser.parse_args(argv).func)
 
+    def test_evaluate_analyses_each_jump_once(self, monkeypatch, capsys):
+        # Detection and tracking are scored from one analysis per jump.
+        from types import SimpleNamespace
+
+        from repro.model.pose import StickPose
+        from repro.pipeline import JumpAnalyzer
+
+        calls = []
+
+        def analyze(self, video, **kwargs):
+            calls.append(len(video))
+            return SimpleNamespace(
+                report=SimpleNamespace(violated_standards=()),
+                poses=[StickPose.standing(60.0, 50.0)] * len(video),
+            )
+
+        monkeypatch.setattr(JumpAnalyzer, "analyze", analyze)
+        assert main(["evaluate", "--fast", "--seeds", "0", "1"]) == 0
+        assert len(calls) == 2
+        out = capsys.readouterr().out
+        assert "flaw detection per standard:" in out
+        assert "tracking: mean joint err" in out
+
     def test_fast_conflicts_with_other_preset(self, tmp_path):
         with pytest.raises(SystemExit, match="conflicts"):
             main(

@@ -168,7 +168,6 @@ class TestPresets:
     def test_paper_stays_serial_float64(self):
         paper = get_preset("paper")
         assert paper.parallel.is_serial
-        assert paper.tracker.fitness.precision == "float64"
 
     def test_parallel_round_trips_through_config_layer(self):
         config = AnalyzerConfig(
@@ -193,7 +192,7 @@ class TestPresets:
             base,
             tracker=replace(
                 base.tracker,
-                fitness=replace(base.tracker.fitness, precision="float32"),
+                fitness=replace(base.tracker.fitness, max_points=600),
             ),
         )
         assert config_hash(base) != config_hash(tuned)

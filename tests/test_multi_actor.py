@@ -90,7 +90,7 @@ class TestSingleActorParity:
     """The refactor must not move the single-jumper path (pinned)."""
 
     def test_default_config_hash_pinned(self):
-        assert config_hash(config_to_dict(AnalyzerConfig())) == "4da5a4095700ad0d"
+        assert config_hash(config_to_dict(AnalyzerConfig())) == "2b8d967c716faa4c"
 
     def test_tracking_disabled_by_default(self):
         config = AnalyzerConfig()
@@ -296,7 +296,7 @@ class TestCrossingScene:
     exercise the tracker's occlusion handling.  ``crossing=True``
     renders :func:`crossing_actor_parameters` — two jumpers sharing one
     lane, launched toward each other — and the masks really do merge
-    mid-flight.  The greedy IoU matcher may hand identities across the
+    mid-flight.  The IoU matcher may hand identities across the
     merge; empirically seed 0 costs exactly one switch, and this test
     pins that as a ceiling (improvements tighten it, regressions fail).
     """

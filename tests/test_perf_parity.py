@@ -19,9 +19,6 @@ checked against them:
 * execution backends (serial / threads) produce byte-identical
   analysis serialisations;
 * the whole optimised stack reproduces the reference stack end to end.
-
-The float32 fitness fast path is the one *documented* deviation: this
-file also pins its tolerance.
 """
 
 import dataclasses
@@ -34,7 +31,7 @@ from repro.ga.engine import GAConfig, GeneticAlgorithm
 from repro.ga.operators import OperatorConfig, mutate, singleton_groups
 from repro.model import geometry
 from repro.model.containment import ContainmentChecker
-from repro.model.fitness import FitnessConfig, SilhouetteFitness
+from repro.model.fitness import SilhouetteFitness
 from repro.model.geometry import (
     _segment_distances_fast,
     sample_segment_points,
@@ -424,13 +421,3 @@ class TestEndToEndParity:
         assert all(calls.values()), calls
         assert optimized == legacy
 
-
-class TestFitnessPrecision:
-    def test_float32_fast_path_stays_within_tolerance(self):
-        pose, mask = _setup()
-        genes = _random_genes(np.random.default_rng(8), 48, pose)
-        exact = SilhouetteFitness(mask, BODY, FitnessConfig()).evaluate(genes)
-        fast = SilhouetteFitness(
-            mask, BODY, FitnessConfig(precision="float32")
-        ).evaluate(genes)
-        assert np.all(np.abs(fast - exact) <= 5e-3 * np.abs(exact))

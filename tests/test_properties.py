@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.imaging.color import hsv_to_rgb, hue_distance, rgb_to_hsv
-from repro.imaging.holes import fill_holes
 from repro.imaging.metrics import confusion
 from repro.imaging.morphology import closing, dilate, erode, opening
 from repro.imaging.neighbors import count_neighbors, remove_noise_pixels
@@ -100,13 +99,6 @@ class TestMorphologyProperties:
         counts = count_neighbors(mask, connectivity=8)
         assert counts.min() >= 0 and counts.max() <= 8
 
-    @given(masks)
-    @settings(max_examples=30, deadline=None)
-    def test_fill_holes_superset_idempotent(self, mask):
-        filled = fill_holes(mask)
-        assert not (mask & ~filled).any()
-        assert (fill_holes(filled) == filled).all()
-
 
 class TestMetricProperties:
     @given(masks, masks)
@@ -164,17 +156,11 @@ def _random_silhouette(rng):
 class TestFitnessTableProperties:
     """A row's Eq. 3 score never depends on its batch or on the table."""
 
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.integers(1, 300),
-        st.sampled_from(["float64", "float32"]),
-    )
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300))
     @settings(max_examples=30, deadline=None)
-    def test_table_answers_exactly_what_the_kernel_computes(
-        self, seed, rows, precision
-    ):
+    def test_table_answers_exactly_what_the_kernel_computes(self, seed, rows):
         rng = np.random.default_rng(seed)
-        config = FitnessConfig(precision=precision)
+        config = FitnessConfig()
         mask = _random_silhouette(rng)
         height, width = mask.shape
         # Duplicates, and (past ~50 distinct rows) more distinct rows

@@ -1,11 +1,9 @@
-"""Tests for local polish, annotation refinement and Otsu thresholding."""
+"""Tests for local polish and annotation refinement."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ImageError
 from repro.ga.refine import local_polish
-from repro.imaging.threshold import otsu_binarize, otsu_threshold
 from repro.model.annotation import (
     FirstFrameAnnotation,
     refine_annotation,
@@ -13,7 +11,6 @@ from repro.model.annotation import (
 from repro.model.fitness import SilhouetteFitness
 from repro.model.pose import GENES, StickPose
 from repro.model.sticks import default_body
-from repro.segmentation.subtraction import SubtractionConfig, subtract_background
 from repro.video.synthesis.render import person_mask_for_pose
 
 BODY = default_body(60.0)
@@ -62,55 +59,3 @@ class TestRefineAnnotation:
         # thicknesses were re-calibrated
         assert refined.dims.thicknesses != BODY.thicknesses
 
-
-class TestOtsu:
-    def test_bimodal_separation(self, rng):
-        low = rng.normal(0.2, 0.02, 500)
-        high = rng.normal(0.8, 0.02, 200)
-        values = np.clip(np.concatenate([low, high]), 0, 1)
-        threshold = otsu_threshold(values)
-        assert 0.3 < threshold < 0.7
-
-    def test_constant_input(self):
-        assert otsu_threshold(np.full(10, 0.4)) == pytest.approx(0.4)
-
-    def test_binarize(self):
-        image = np.zeros((10, 10))
-        image[:, 5:] = 0.9
-        binary = otsu_binarize(image)
-        assert binary[:, 5:].all() and not binary[:, :5].any()
-
-    def test_validation(self):
-        with pytest.raises(ImageError):
-            otsu_threshold(np.array([]))
-        with pytest.raises(ImageError):
-            otsu_threshold(np.arange(5.0), bins=1)
-        with pytest.raises(ImageError):
-            otsu_binarize(np.zeros((2, 2, 3)))
-
-
-class TestOtsuSubtraction:
-    def test_otsu_mode_finds_person(self, jump):
-        background = jump.background
-        frame = jump.video[10]
-        fixed = subtract_background(frame, background)
-        otsu = subtract_background(
-            frame, background, SubtractionConfig(mode="otsu")
-        )
-        truth = jump.foreground_mask(10)
-        from repro.imaging.metrics import f1_score
-
-        assert f1_score(otsu, truth) > 0.7
-        assert abs(f1_score(otsu, truth) - f1_score(fixed, truth)) < 0.2
-
-    def test_clamping(self, jump):
-        # a frame identical to the background: threshold clamps, and the
-        # mask stays (near) empty instead of binarising noise
-        background = jump.background
-        config = SubtractionConfig(mode="otsu", min_threshold=0.08)
-        mask = subtract_background(background, background, config)
-        assert mask.mean() < 0.01
-
-    def test_mode_validation(self):
-        with pytest.raises(Exception):
-            SubtractionConfig(mode="adaptive")

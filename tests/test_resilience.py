@@ -612,6 +612,46 @@ class TestManagerRecovery:
             pool.shutdown(wait=True)
 
 
+    def test_spooled_config_that_no_longer_parses_fails_interrupted(
+        self, tmp_path, fast_setup
+    ):
+        """A spool written under a config key this build lacks fails the
+        job ``Interrupted`` on restart instead of re-running it under the
+        server's config; its directory and its queue slot are freed."""
+        from repro.service import ServiceConfig, ServiceHandle
+
+        persist, checkpoints, job_id = self._crashed(tmp_path, fast_setup)
+        meta = json.loads((checkpoints / job_id / "meta.json").read_text())
+        meta["config"]["segmentation"]["no_such_knob"] = True
+        (checkpoints / job_id / "meta.json").write_text(json.dumps(meta))
+        handle = ServiceHandle(
+            service_config=ServiceConfig(
+                jobs=JobsConfig(
+                    persist_path=persist,
+                    checkpoint_dir=str(checkpoints),
+                    max_queued=1,
+                )
+            )
+        ).start()
+        try:
+            payload = handle.jobs.payload(job_id)
+            assert payload["state"] == JobState.FAILED
+            assert payload["error"]["type"] == "Interrupted"
+            assert "no_such_knob" in payload["error"]["message"]
+            assert not (checkpoints / job_id).exists()
+            request = urllib.request.Request(
+                f"{handle.address}/v1/jobs",
+                data=json.dumps({"mode": "stream"}).encode(),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+            with urllib.request.urlopen(request, timeout=10) as response:
+                assert response.status == 202  # the max_queued=1 slot is free
+                handle.jobs.cancel(json.loads(response.read())["job"]["id"])
+        finally:
+            handle.stop()
+
+
 # ----------------------------------------------------------------------
 # Drain + lifecycle
 # ----------------------------------------------------------------------

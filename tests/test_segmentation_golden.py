@@ -47,21 +47,12 @@ _SCALED = (
 #: Change thresholds: the default, and one low enough that some pixels
 #: never see a stable pair (the temporal-median fallback).
 THRESHOLDS = (0.05, 0.015)
-AGGREGATIONS = ("longest_run", "mean", "median")
 
 BACKGROUND_DIGESTS = {
     ("160x120", "longest_run", 0.05): "693822f6b1b190d9",
     ("160x120", "longest_run", 0.015): "26c457c9432e3b5c",
-    ("160x120", "mean", 0.05): "39e2e68319fd1138",
-    ("160x120", "mean", 0.015): "d47b08356267afb5",
-    ("160x120", "median", 0.05): "9b1f5017e90c3f7b",
-    ("160x120", "median", 0.015): "de63a1c8f771f813",
     ("320x240", "longest_run", 0.05): "3aa59fc6be63cda5",
     ("320x240", "longest_run", 0.015): "8fd9db400e729656",
-    ("320x240", "mean", 0.05): "b6dbfbafb18f72fe",
-    ("320x240", "mean", 0.015): "8245f429484fffe7",
-    ("320x240", "median", 0.05): "8b50858c2ce12272",
-    ("320x240", "median", 0.015): "13e9e15b7706a8a4",
 }
 
 #: RunningBackgroundModel fed the clip frame by frame.  Where every
@@ -70,12 +61,8 @@ BACKGROUND_DIGESTS = {
 RUNNING_DIGESTS = {
     ("160x120", "longest_run", 0.05): "693822f6b1b190d9",
     ("160x120", "longest_run", 0.015): "338895c970cfb197",
-    ("160x120", "mean", 0.05): "39e2e68319fd1138",
-    ("160x120", "mean", 0.015): "f8211a1b81bc0d09",
     ("320x240", "longest_run", 0.05): "3aa59fc6be63cda5",
     ("320x240", "longest_run", 0.015): "204db3bfbbf2eb90",
-    ("320x240", "mean", 0.05): "b6dbfbafb18f72fe",
-    ("320x240", "mean", 0.015): "dd70574b3a4ece9a",
 }
 
 SEGMENTATION_DIGESTS = {
@@ -128,17 +115,13 @@ def _result_digest(result: BackgroundResult) -> str:
     return _digest((result.background, result.support, result.fallback_mask))
 
 
-def background_digest(
-    video: VideoSequence, aggregation: str, threshold: float
-) -> str:
-    config = ChangeDetectionConfig(threshold=threshold, aggregation=aggregation)
+def background_digest(video: VideoSequence, threshold: float) -> str:
+    config = ChangeDetectionConfig(threshold=threshold)
     return _result_digest(ChangeDetectionBackgroundEstimator(config).estimate(video))
 
 
-def running_digest(video: VideoSequence, aggregation: str, threshold: float) -> str:
-    model = RunningBackgroundModel(
-        ChangeDetectionConfig(threshold=threshold, aggregation=aggregation)
-    )
+def running_digest(video: VideoSequence, threshold: float) -> str:
+    model = RunningBackgroundModel(ChangeDetectionConfig(threshold=threshold))
     for frame in video:
         model.observe(frame)
     return _result_digest(model.freeze())
@@ -158,22 +141,22 @@ def clip(request):
     return request.param, make_clip(request.param)
 
 
-# The median aggregation warns on pixels with no stable observation.
-@pytest.mark.filterwarnings("ignore:All-NaN slice encountered")
-@pytest.mark.parametrize("threshold", THRESHOLDS)
-@pytest.mark.parametrize("aggregation", AGGREGATIONS)
-def test_background_digest(clip, aggregation, threshold):
-    geometry, video = clip
-    digest = background_digest(video, aggregation, threshold)
-    assert digest == BACKGROUND_DIGESTS[geometry, aggregation, threshold]
+def _longest_run_id(threshold: float) -> str:
+    return f"longest_run-{threshold}"
 
 
-@pytest.mark.parametrize("threshold", THRESHOLDS)
-@pytest.mark.parametrize("aggregation", ["longest_run", "mean"])
-def test_running_background_digest(clip, aggregation, threshold):
+@pytest.mark.parametrize("threshold", THRESHOLDS, ids=_longest_run_id)
+def test_background_digest(clip, threshold):
     geometry, video = clip
-    digest = running_digest(video, aggregation, threshold)
-    assert digest == RUNNING_DIGESTS[geometry, aggregation, threshold]
+    digest = background_digest(video, threshold)
+    assert digest == BACKGROUND_DIGESTS[geometry, "longest_run", threshold]
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS, ids=_longest_run_id)
+def test_running_background_digest(clip, threshold):
+    geometry, video = clip
+    digest = running_digest(video, threshold)
+    assert digest == RUNNING_DIGESTS[geometry, "longest_run", threshold]
 
 
 @pytest.mark.parametrize("name", sorted(SEGMENTATION_CONFIGS))
@@ -198,12 +181,8 @@ def test_clips_exercise_every_branch(clip):
 if __name__ == "__main__":
     for geometry in sorted(CLIPS):
         video = make_clip(geometry)
-        for aggregation in AGGREGATIONS:
-            for threshold in THRESHOLDS:
-                digest = background_digest(video, aggregation, threshold)
-                print(geometry, aggregation, threshold, digest)
-                if aggregation != "median":
-                    digest = running_digest(video, aggregation, threshold)
-                    print(geometry, "running", aggregation, threshold, digest)
+        for threshold in THRESHOLDS:
+            print(geometry, "longest_run", threshold, background_digest(video, threshold))
+            print(geometry, "running", threshold, running_digest(video, threshold))
         for name, config in sorted(SEGMENTATION_CONFIGS.items()):
             print(geometry, name, segmentation_digest(video, config))

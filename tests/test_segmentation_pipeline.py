@@ -49,13 +49,6 @@ class TestPipeline:
             sil_without[k], jump.person_masks[k]
         )
 
-    def test_median_background_option(self, jump):
-        pipeline = SegmentationPipeline(
-            SegmentationConfig(use_median_background=True)
-        )
-        silhouettes = pipeline.silhouettes(jump.video)
-        assert silhouettes[10].any()
-
     def test_stage_masks_nested(self, jump):
         pipeline = SegmentationPipeline()
         pipeline.fit(jump.video)

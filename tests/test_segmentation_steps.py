@@ -78,17 +78,6 @@ class TestCleanup:
         stages = clean_foreground(mask)
         assert stages.after_hole_fill[5, 5]
 
-    def test_fill_all_holes_extension(self):
-        mask = np.zeros((14, 14), dtype=bool)
-        mask[2:12, 2:12] = True
-        mask[5:8, 5:8] = False  # 3x3 hole: 4-rule cannot fill it
-        plain = clean_foreground(mask, CleanupConfig(min_neighbors=0))
-        assert not plain.after_hole_fill[6, 6]
-        full = clean_foreground(
-            mask, CleanupConfig(min_neighbors=0, fill_all_holes=True)
-        )
-        assert full.after_hole_fill[6, 6]
-
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             CleanupConfig(min_neighbors=9)

@@ -91,6 +91,17 @@ class TestPerRequestConfig:
             ({"parallel": {"shared_memory": True}}, "shared_memory"),
             ({"tracker": {"ga": {"incremental": False}}}, "incremental"),
             ({"tracker": {"fitness": {"chunk_size": 0}}}, "chunk_size"),
+            ({"tracker": {"fitness": {"precision": "float32"}}}, "precision"),
+            ({"tracking": {"method": "greedy"}}, "method"),
+            ({"segmentation": {"use_median_background": True}}, "use_median_background"),
+            (
+                {"segmentation": {"change_detection": {"aggregation": "mean"}}},
+                "aggregation",
+            ),
+            ({"segmentation": {"subtraction": {"mode": "otsu"}}}, "mode"),
+            ({"segmentation": {"subtraction": {"min_threshold": 0.05}}}, "min_threshold"),
+            ({"segmentation": {"subtraction": {"max_threshold": 0.3}}}, "max_threshold"),
+            ({"segmentation": {"cleanup": {"fill_all_holes": True}}}, "fill_all_holes"),
         ):
             request = _post(
                 service,

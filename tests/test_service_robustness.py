@@ -517,6 +517,53 @@ class TestDetachedSpool:
             handle.stop()
 
 
+class TestPersistFailure:
+    """A job record whose snapshot write fails is rolled back: the
+    submission answers 503 and holds no queue slot."""
+
+    @pytest.mark.parametrize("route, admitted", [("/v1/jobs", 202), ("/v1/analyze", 200)])
+    def test_failed_snapshot_write_is_503_and_frees_the_slot(
+        self, short_jump, tmp_path, monkeypatch, route, admitted
+    ):
+        from repro.jobs.backends import SingleProcessBackend
+
+        handle = ServiceHandle(
+            service_config=ServiceConfig(
+                max_concurrent=1,
+                jobs=JobsConfig(
+                    persist_path=str(tmp_path / "jobs.json"), max_queued=1
+                ),
+                retry_after_seconds=3,
+            )
+        ).start()
+        analyzer = _BlockingAnalyzer()
+        analyzer.release.set()
+        handle._server.analyzer = analyzer
+        _stub_serializer(handle)
+        persist = SingleProcessBackend.persist_snapshot
+        failures = []
+
+        def disk_full_once(backend, snapshot):
+            if not failures:
+                failures.append(OSError(28, "No space left on device"))
+                raise failures[0]
+            persist(backend, snapshot)
+
+        monkeypatch.setattr(SingleProcessBackend, "persist_snapshot", disk_full_once)
+        body = _analyze_body(short_jump.video)
+        try:
+            status, payload, headers = _post_raw(f"{handle.address}{route}", body)
+            assert status == 503
+            assert payload["error"]["type"] == "spool_failed"
+            assert "No space left" in payload["error"]["message"]
+            assert headers["Retry-After"] == "3"
+            # The failed record was rolled back, so the one slot is free.
+            status, _, _ = _post_raw(f"{handle.address}{route}", body)
+            assert status == admitted
+        finally:
+            handle.stop()
+
+
 class TestErrorMapping:
     @pytest.mark.parametrize(
         "exc_type", REPRO_ERRORS, ids=lambda cls: cls.__name__

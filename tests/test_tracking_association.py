@@ -1,14 +1,11 @@
-"""Tests for IoU data association (greedy and Hungarian matching)."""
+"""Tests for IoU data association (Hungarian matching)."""
 
 import numpy as np
 import pytest
 
-from repro.errors import TrackingError
 from repro.tracking.association import (
-    ASSOCIATION_METHODS,
     associate,
     box_iou,
-    greedy_match,
     hungarian_match,
     iou_matrix,
 )
@@ -59,40 +56,12 @@ class TestIoUMatrix:
         assert iou_matrix([], []).shape == (0, 0)
 
 
-class TestGreedyMatch:
-    def test_takes_best_pair_first(self):
-        matrix = np.array([[0.9, 0.5], [0.5, 0.8]])
-        assert sorted(greedy_match(matrix, 0.1)) == [(0, 0), (1, 1)]
-
-    def test_threshold_rejects(self):
-        matrix = np.array([[0.05]])
-        assert greedy_match(matrix, 0.1) == []
-
-    def test_tie_breaks_to_lowest_row_col(self):
-        matrix = np.full((2, 2), 0.5)
-        matches = greedy_match(matrix, 0.1)
-        assert matches[0] == (0, 0)
-        assert sorted(matches) == [(0, 0), (1, 1)]
-
-    def test_each_row_and_col_used_once(self):
-        matrix = np.array([[0.9, 0.8], [0.85, 0.1]])
-        matches = greedy_match(matrix, 0.2)
-        rows = [r for r, _ in matches]
-        cols = [c for _, c in matches]
-        assert len(rows) == len(set(rows))
-        assert len(cols) == len(set(cols))
-
-    def test_empty_matrix(self):
-        assert greedy_match(np.zeros((0, 0)), 0.1) == []
-
-
 class TestHungarianMatch:
     def test_optimal_where_greedy_is_not(self):
         # Greedy grabs (0, 0) = 0.5, leaving (1, 1) = 0.05 below the
         # threshold: one match.  The optimal assignment takes the two
         # 0.4 pairs instead: two matches.
         matrix = np.array([[0.5, 0.4], [0.4, 0.05]])
-        assert len(greedy_match(matrix, 0.1)) == 1
         assert sorted(hungarian_match(matrix, 0.1)) == [(0, 1), (1, 0)]
 
     def test_threshold_applied_after_solving(self):
@@ -100,8 +69,8 @@ class TestHungarianMatch:
         assert hungarian_match(matrix, 0.1) == []
 
     def test_agrees_with_greedy_on_dominant_diagonal(self):
-        # One clearly best candidate per track: both matchers must find
-        # the same (unique) optimal assignment.
+        # One clearly best candidate per track: the (unique) optimal
+        # assignment is the one greedy matching would also find.
         matrix = np.array(
             [
                 [0.9, 0.1, 0.05],
@@ -110,7 +79,6 @@ class TestHungarianMatch:
             ]
         )
         expected = [(0, 0), (1, 1), (2, 2)]
-        assert sorted(greedy_match(matrix, 0.2)) == expected
         assert sorted(hungarian_match(matrix, 0.2)) == expected
 
     def test_empty_matrix(self):
@@ -131,15 +99,6 @@ class TestAssociate:
         candidates = [box(0, 0, 9, 9), box(30, 30, 39, 39)]
         result = associate(tracks, candidates)
         assert result.matches == ((0, 1), (1, 0))
-
-    @pytest.mark.parametrize("method", ASSOCIATION_METHODS)
-    def test_methods_accepted(self, method):
-        result = associate([box(0, 0, 9, 9)], [box(0, 0, 9, 9)], method=method)
-        assert result.matches == ((0, 0),)
-
-    def test_unknown_method_raises(self):
-        with pytest.raises(TrackingError, match="unknown association method"):
-            associate([], [], method="nearest")
 
     def test_empty_inputs(self):
         result = associate([], [])

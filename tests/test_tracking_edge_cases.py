@@ -87,11 +87,11 @@ class TestActorLeavingFrame:
 
 
 class TestCrossingActors:
-    def run_crossing(self, method):
+    def run_crossing(self):
         # Two equal-height actors walk toward each other through the
         # same rows: their silhouettes merge into one component in the
         # middle frames, then split again.
-        m = manager(max_tracks=2, method=method)
+        m = manager(max_tracks=2)
         for frame in range(14):
             a = blob(20, 6 + 5 * frame)
             b = blob(20, 76 - 5 * frame)
@@ -105,12 +105,11 @@ class TestCrossingActors:
         # ONE identity (<= 3 track ids for 2 actors) — the tracker
         # degrades by forking an id, never by collapsing both actors
         # into one track.
-        for method in ("greedy", "hungarian"):
-            m = self.run_crossing(method)
-            assert len(m.tracks) <= 3, method
-            alive = m.alive_tracks()
-            assert len(alive) == 2, method
-            assert all(t.confirmed for t in alive), method
+        m = self.run_crossing()
+        assert len(m.tracks) <= 3
+        alive = m.alive_tracks()
+        assert len(alive) == 2
+        assert all(t.confirmed for t in alive)
 
     def test_crossing_parameters_overlap(self):
         # The synthesis-level crossing layout really does overlap: the

@@ -41,7 +41,6 @@ class TestTrackingConfigValidation:
         "field, value",
         [
             ("max_tracks", 0),
-            ("method", "nearest"),
             ("iou_threshold", 0.0),
             ("iou_threshold", 1.5),
             ("confirm_hits", 0),
